@@ -214,7 +214,7 @@ def _cmd_commutator(args, cfg):
 def _cmd_verify(args, cfg):
     run_cfg = RunConfig(
         oracle_N=cfg.get("oracle_N", 64),
-        rank_tol=cfg.get("rank_tol", tol.RANK_TOL),
+        rank_tol=tol.RANK_TOL if args.tol is None else args.tol,
         parallelism=cfg.get("parallelism", 1),
     )
     trials = args.trials or cfg.get("trials")
@@ -274,7 +274,8 @@ def build_parser():
                 default="paired",
             )
         p.add_argument("--N", type=int, default=0)
-        p.add_argument("--tol", type=float, default=tol.RANK_TOL)
+        # None: the config file's rank_tol, else tolerances.RANK_TOL
+        p.add_argument("--tol", type=float, default=None)
         p.add_argument("--trials", type=int, default=0)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--config")
@@ -323,9 +324,8 @@ def main(argv=None):
         if args.config is not None or (cfg_path and os.path.exists(cfg_path)):
             cfg = load_config(cfg_path)
         knobs = {k: v for k, v in cfg.items() if k in ("eps_eq", "eps_circle", "eps_cluster", "rank_tol")}
-        if knobs:
-            tol.configure(**knobs)
-        return _COMMANDS[args.command](args, cfg)
+        with tol.configured(**knobs):
+            return _COMMANDS[args.command](args, cfg)
     except MalformedConfig as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

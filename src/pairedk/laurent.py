@@ -107,9 +107,6 @@ class LaurentPoly:
     def norm_inf(self) -> float:
         return max((abs(v) for v in self._c.values()), default=0.0)
 
-    def norm_l2(self) -> float:
-        return math.sqrt(sum(abs(v) ** 2 for v in self._c.values()))
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -158,7 +155,8 @@ class LaurentPoly:
     # -- evaluation / conversion ---------------------------------------
 
     def eval(self, z: complex) -> complex:
-        """Evaluate by Horner in z over k >= 0 plus Horner in 1/z over k < 0."""
+        """Evaluate by Horner in z over k >= 0 plus Horner in 1/z over k < 0;
+        z may be a scalar or a numpy array of points."""
         if not self._c:
             return 0.0 + 0.0j
         pos = 0.0 + 0.0j

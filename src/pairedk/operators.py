@@ -7,12 +7,15 @@ operators, projections, and the usual algebra (compose, sum, scale, adjoint,
 commutator).  Truncations are rectangular: the domain window is [-N..N]
 (intersected with the domain space) while the codomain window is padded by
 the expression bandwidth, so polynomial inputs are mapped exactly.
+
+Each leaf node class owns its semantics (spaces, adjoint, exact action and
+truncation); the tree walkers below branch only on the five combinators.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,84 +29,207 @@ from .errors import (
 from .rational import RationalSymbol, SpaceTag, inner_product
 
 L2, H2P, H2M = SpaceTag.L2, SpaceTag.H2PLUS, SpaceTag.H2MINUS
+_SIDE = {H2P: "plus", H2M: "minus"}  # the Riesz projection onto each Hardy space
+
+_OPS: Dict[str, type] = {}  # wire-format op name -> node class
+
+
+def _on_side(ks: np.ndarray, side: str) -> np.ndarray:
+    """Mask of the indices kept by the Riesz projection on ``side``."""
+    return ks >= 0 if side == "plus" else ks < 0
+
+
+def _mult_blocks(in_idx: np.ndarray, ks: np.ndarray, *syms: RationalSymbol) -> List[np.ndarray]:
+    """Truncated multiplication matrices, entry (k, j) = hat s(k - j): one
+    Fourier window per symbol, gathered through one index array."""
+    lo = int(ks[0] - in_idx[-1])
+    hi = int(ks[-1] - in_idx[0])
+    idx = ks[:, None] - in_idx[None, :] - lo
+    return [s.fourier_range(lo, hi)[idx] for s in syms]
 
 
 # ----------------------------------------------------------------------
 # AST nodes (plain constructors; build() validates and normalizes)
 
 
+class _Node:
+    """An expression node; each concrete class registers its wire ``op``."""
+
+    op: ClassVar[str]
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "op" in vars(cls):
+            _OPS[cls.op] = cls
+
+
+class _Leaf(_Node):
+    """A node whose fields are symbols.  It declares its (domain, codomain)
+    ``spaces`` and implements ``adjoint()``, ``apply(f)`` (the exact image of
+    a rational function) and ``columns(in_idx, ks)`` (its truncation to rows
+    ``ks`` and columns ``in_idx``)."""
+
+    spaces: ClassVar[Tuple[SpaceTag, SpaceTag]] = (L2, L2)
+
+
 @dataclass(frozen=True)
-class Paired:
+class Paired(_Leaf):
+    """a P+ + b P-."""
+
+    op = "paired"
     a: RationalSymbol
     b: RationalSymbol
 
+    def adjoint(self):
+        return Transposed(self.a.conj_circle(), self.b.conj_circle())
+
+    def apply(self, f):
+        return self.a * f.riesz("plus") + self.b * f.riesz("minus")
+
+    def columns(self, in_idx, ks):
+        ma, mb = _mult_blocks(in_idx, ks, self.a, self.b)
+        return np.where(in_idx >= 0, ma, mb)
+
 
 @dataclass(frozen=True)
-class Transposed:
+class Transposed(_Leaf):
+    """P+ a + P- b."""
+
+    op = "transposed"
     a: RationalSymbol
     b: RationalSymbol
 
+    def adjoint(self):
+        return Paired(self.a.conj_circle(), self.b.conj_circle())
 
-@dataclass(frozen=True)
-class Toeplitz:
-    a: RationalSymbol
+    def apply(self, f):
+        return (self.a * f).riesz("plus") + (self.b * f).riesz("minus")
 
-
-@dataclass(frozen=True)
-class DualToeplitz:
-    a: RationalSymbol
-
-
-@dataclass(frozen=True)
-class Hankel:
-    a: RationalSymbol
+    def columns(self, in_idx, ks):
+        ma, mb = _mult_blocks(in_idx, ks, self.a, self.b)
+        return np.where((ks >= 0)[:, None], ma, mb)
 
 
 @dataclass(frozen=True)
-class HankelTilde:
-    a: RationalSymbol
+class Mult(_Leaf):
+    """Multiplication by eta."""
 
-
-@dataclass(frozen=True)
-class Mult:
+    op = "mult"
     eta: RationalSymbol
 
+    def adjoint(self):
+        return Mult(self.eta.conj_circle())
+
+    def apply(self, f):
+        return self.eta * f
+
+    def columns(self, in_idx, ks):
+        return _mult_blocks(in_idx, ks, self.eta)[0]
+
 
 @dataclass(frozen=True)
-class ProjPlus:
-    pass
+class _Compression(_Leaf):
+    """P a from the domain Hardy space to the codomain Hardy space.  The
+    projection is the codomain's, and the adjoint (with the conjugate
+    symbol) is the compression with the two spaces swapped."""
+
+    a: RationalSymbol
+
+    @property
+    def side(self) -> str:
+        return _SIDE[self.spaces[1]]
+
+    def adjoint(self):
+        return _COMPRESSIONS[self.spaces[::-1]](self.a.conj_circle())
+
+    def apply(self, f):
+        return (self.a * f).riesz(self.side)
+
+    def columns(self, in_idx, ks):
+        return np.where(_on_side(ks, self.side)[:, None], _mult_blocks(in_idx, ks, self.a)[0], 0)
+
+
+class Toeplitz(_Compression):
+    """P+ a on H2+."""
+
+    op, spaces = "toeplitz", (H2P, H2P)
+
+
+class DualToeplitz(_Compression):
+    """P- a on H2-."""
+
+    op, spaces = "dual_toeplitz", (H2M, H2M)
+
+
+class Hankel(_Compression):
+    """P- a from H2+ to H2-."""
+
+    op, spaces = "hankel", (H2P, H2M)
+
+
+class HankelTilde(_Compression):
+    """P+ a from H2- to H2+."""
+
+    op, spaces = "hankel_tilde", (H2M, H2P)
+
+
+_COMPRESSIONS = {c.spaces: c for c in (Toeplitz, DualToeplitz, Hankel, HankelTilde)}
 
 
 @dataclass(frozen=True)
-class ProjMinus:
-    pass
+class _Projection(_Leaf):
+    """The self-adjoint Riesz projection on ``side``."""
+
+    side: ClassVar[str]
+
+    def adjoint(self):
+        return self
+
+    def apply(self, f):
+        return f.riesz(self.side)
+
+    def columns(self, in_idx, ks):
+        return ((ks[:, None] == in_idx) & _on_side(in_idx, self.side)).astype(complex)
+
+
+class ProjPlus(_Projection):
+    op, side = "proj_plus", "plus"
+
+
+class ProjMinus(_Projection):
+    op, side = "proj_minus", "minus"
 
 
 @dataclass(frozen=True)
-class Compose:
+class Compose(_Node):
+    op = "compose"
     x: object
     y: object
 
 
 @dataclass(frozen=True)
-class Sum:
+class Sum(_Node):
+    op = "sum"
     x: object
     y: object
 
 
 @dataclass(frozen=True)
-class Scale:
-    lam: complex
+class Scale(_Node):
+    op = "scale"
+    lam: complex = field(metadata={"json": "lambda"})
     x: object
 
 
 @dataclass(frozen=True)
-class Adjoint:
+class Adjoint(_Node):
+    op = "adjoint"
     x: object
 
 
 @dataclass(frozen=True)
-class Commutator:
+class Commutator(_Node):
+    op = "commutator"
     x: object
     y: object
 
@@ -112,101 +238,56 @@ def identity() -> Mult:
     return Mult(RationalSymbol.const(1.0))
 
 
-_SYMBOL_NODES = (Paired, Transposed, Toeplitz, DualToeplitz, Hankel, HankelTilde, Mult)
-
-
+# a field annotated RationalSymbol holds a symbol, one annotated object an operand
 def _symbols_of(node) -> List[RationalSymbol]:
-    if isinstance(node, (Paired, Transposed)):
-        return [node.a, node.b]
-    if isinstance(node, (Toeplitz, DualToeplitz, Hankel, HankelTilde)):
-        return [node.a]
-    if isinstance(node, Mult):
-        return [node.eta]
-    return []
+    return [getattr(node, f.name) for f in fields(node) if f.type == "RationalSymbol"]
+
+
+def _children(node) -> list:
+    return [getattr(node, f.name) for f in fields(node) if f.type == "object"]
 
 
 def _adjoint(node):
-    if isinstance(node, Paired):
-        return Transposed(node.a.conj_circle(), node.b.conj_circle())
-    if isinstance(node, Transposed):
-        return Paired(node.a.conj_circle(), node.b.conj_circle())
-    if isinstance(node, Toeplitz):
-        return Toeplitz(node.a.conj_circle())
-    if isinstance(node, DualToeplitz):
-        return DualToeplitz(node.a.conj_circle())
-    if isinstance(node, Hankel):
-        return HankelTilde(node.a.conj_circle())
-    if isinstance(node, HankelTilde):
-        return Hankel(node.a.conj_circle())
-    if isinstance(node, Mult):
-        return Mult(node.eta.conj_circle())
-    if isinstance(node, (ProjPlus, ProjMinus)):
-        return node
-    if isinstance(node, Compose):
-        return Compose(_adjoint(node.y), _adjoint(node.x))
+    """Adjoint of an Adjoint-free tree."""
+    if isinstance(node, (Compose, Commutator)):
+        return type(node)(_adjoint(node.y), _adjoint(node.x))
     if isinstance(node, Sum):
         return Sum(_adjoint(node.x), _adjoint(node.y))
     if isinstance(node, Scale):
         return Scale(complex(node.lam).conjugate(), _adjoint(node.x))
-    if isinstance(node, Commutator):
-        return Commutator(_adjoint(node.y), _adjoint(node.x))
-    if isinstance(node, Adjoint):
-        return _normalize(node.x)
-    raise TypeError(f"unknown node {node!r}")
+    return node.adjoint()
 
 
 def _normalize(node):
     """Push adjoints to the leaves; returns an Adjoint-free tree."""
     if isinstance(node, Adjoint):
         return _adjoint(_normalize(node.x))
-    if isinstance(node, Compose):
-        return Compose(_normalize(node.x), _normalize(node.y))
-    if isinstance(node, Sum):
-        return Sum(_normalize(node.x), _normalize(node.y))
+    if isinstance(node, (Compose, Sum, Commutator)):
+        return type(node)(_normalize(node.x), _normalize(node.y))
     if isinstance(node, Scale):
         return Scale(complex(node.lam), _normalize(node.x))
-    if isinstance(node, Commutator):
-        return Commutator(_normalize(node.x), _normalize(node.y))
     return node
 
 
 def spaces(node) -> Tuple[SpaceTag, SpaceTag]:
     """(domain, codomain) tags of a normalized node."""
-    if isinstance(node, (Paired, Transposed, Mult, ProjPlus, ProjMinus)):
-        return (L2, L2)
-    if isinstance(node, Toeplitz):
-        return (H2P, H2P)
-    if isinstance(node, DualToeplitz):
-        return (H2M, H2M)
-    if isinstance(node, Hankel):
-        return (H2P, H2M)
-    if isinstance(node, HankelTilde):
-        return (H2M, H2P)
+    if isinstance(node, Scale):
+        return spaces(node.x)
+    if not isinstance(node, (Compose, Sum, Commutator)):
+        return node.spaces
+    dx, cx = spaces(node.x)
+    dy, cy = spaces(node.y)
     if isinstance(node, Compose):
-        dx, cx = spaces(node.x)
-        dy, cy = spaces(node.y)
-        if not _fits(cy, dx):
+        if not (cy == dx or dx == L2):
             raise DomainMismatch("composition spaces do not chain")
         return (dy, cx)
     if isinstance(node, Sum):
-        dx, cx = spaces(node.x)
-        dy, cy = spaces(node.y)
         if dx != dy:
             raise DomainMismatch("summands must share a domain")
         return (dx, cx if cx == cy else L2)
-    if isinstance(node, Scale):
-        return spaces(node.x)
-    if isinstance(node, Commutator):
-        dx, cx = spaces(node.x)
-        dy, cy = spaces(node.y)
-        if not (dx == cx == dy == cy):
-            raise DomainMismatch("commutator needs two endomorphisms of one space")
-        return (dx, cx)
-    raise TypeError(f"unknown node {node!r}")
-
-
-def _fits(cod: SpaceTag, dom: SpaceTag) -> bool:
-    return cod == dom or dom == L2
+    if not (dx == cx == dy == cy):
+        raise DomainMismatch("commutator needs two endomorphisms of one space")
+    return (dx, cx)
 
 
 def _symbol_bandwidth(s: RationalSymbol) -> int:
@@ -217,17 +298,15 @@ def _symbol_bandwidth(s: RationalSymbol) -> int:
 
 
 def bandwidth(node) -> int:
-    if isinstance(node, _SYMBOL_NODES):
-        return max([_symbol_bandwidth(s) for s in _symbols_of(node)] + [0])
-    if isinstance(node, (ProjPlus, ProjMinus)):
-        return 0
     if isinstance(node, (Compose, Commutator)):
         return bandwidth(node.x) + bandwidth(node.y)
     if isinstance(node, Sum):
         return max(bandwidth(node.x), bandwidth(node.y))
     if isinstance(node, Scale):
         return bandwidth(node.x)
-    raise TypeError(f"unknown node {node!r}")
+    if isinstance(node, _Leaf):
+        return max((_symbol_bandwidth(s) for s in _symbols_of(node)), default=0)
+    raise TypeError(f"bandwidth of an unnormalized node {node!r}")
 
 
 def build(node):
@@ -235,25 +314,14 @@ def build(node):
     norm = _normalize(node)
 
     def _walk(n):
-        for s in _symbols_of(n):
-            if s.has_circle_pole:
-                raise SymbolNotBounded("symbol has a pole on the circle")
+        if any(s.has_circle_pole for s in _symbols_of(n)):
+            raise SymbolNotBounded("symbol has a pole on the circle")
         for child in _children(n):
             _walk(child)
 
     _walk(norm)
     spaces(norm)  # raises DomainMismatch on incoherent trees
     return norm
-
-
-def _children(node):
-    if isinstance(node, (Compose, Sum, Commutator)):
-        return (node.x, node.y)
-    if isinstance(node, Scale):
-        return (node.x,)
-    if isinstance(node, Adjoint):
-        return (node.x,)
-    return ()
 
 
 def nondegenerate(node) -> bool:
@@ -270,37 +338,18 @@ def nondegenerate(node) -> bool:
 # exact application
 
 
-def apply_exact(node, f: RationalSymbol, _check: bool = True) -> RationalSymbol:
+def apply_exact(node, f: RationalSymbol) -> RationalSymbol:
     """Apply the operator to a rational L2 function, exactly."""
     node = _normalize(node)
-    if _check:
-        if f.has_circle_pole:
-            raise PoleOnCircle("input lies outside L2")
-        dom, _ = spaces(node)
-        if dom != L2 and not f.membership(dom):
-            raise DomainMismatch(f"input not in declared domain {dom.value}")
+    if f.has_circle_pole:
+        raise PoleOnCircle("input lies outside L2")
+    dom, _ = spaces(node)
+    if dom != L2 and not f.membership(dom):
+        raise DomainMismatch(f"input not in declared domain {dom.value}")
     return _apply(node, f)
 
 
 def _apply(node, f: RationalSymbol) -> RationalSymbol:
-    if isinstance(node, Paired):
-        return node.a * f.riesz("plus") + node.b * f.riesz("minus")
-    if isinstance(node, Transposed):
-        return (node.a * f).riesz("plus") + (node.b * f).riesz("minus")
-    if isinstance(node, Toeplitz):
-        return (node.a * f).riesz("plus")
-    if isinstance(node, DualToeplitz):
-        return (node.a * f).riesz("minus")
-    if isinstance(node, Hankel):
-        return (node.a * f).riesz("minus")
-    if isinstance(node, HankelTilde):
-        return (node.a * f).riesz("plus")
-    if isinstance(node, Mult):
-        return node.eta * f
-    if isinstance(node, ProjPlus):
-        return f.riesz("plus")
-    if isinstance(node, ProjMinus):
-        return f.riesz("minus")
     if isinstance(node, Compose):
         return _apply(node.x, _apply(node.y, f))
     if isinstance(node, Sum):
@@ -309,7 +358,7 @@ def _apply(node, f: RationalSymbol) -> RationalSymbol:
         return _apply(node.x, f) * node.lam
     if isinstance(node, Commutator):
         return _apply(node.x, _apply(node.y, f)) - _apply(node.y, _apply(node.x, f))
-    raise TypeError(f"unknown node {node!r}")
+    return node.apply(f)
 
 
 # ----------------------------------------------------------------------
@@ -325,11 +374,7 @@ class TruncationMatrix:
 
 def _window(tag: SpaceTag, lo: int, hi: int) -> np.ndarray:
     ks = np.arange(lo, hi + 1)
-    if tag == H2P:
-        return ks[ks >= 0]
-    if tag == H2M:
-        return ks[ks < 0]
-    return ks
+    return ks if tag == L2 else ks[_on_side(ks, _SIDE[tag])]
 
 
 def truncate(node, N: int) -> TruncationMatrix:
@@ -344,69 +389,24 @@ def truncate(node, N: int) -> TruncationMatrix:
     dom, cod = spaces(node)
     in_idx = _window(dom, -N, N)
     out_idx = _window(cod, -N - d, N + d)
-    entries = _columns(node, in_idx, int(out_idx[0]), int(out_idx[-1]))
-    return TruncationMatrix(entries, in_idx, out_idx)
+    return TruncationMatrix(_columns(node, in_idx, out_idx), in_idx, out_idx)
 
 
-def _stream(sym: RationalSymbol, lo: int, hi: int) -> Tuple[int, np.ndarray]:
-    return lo, sym.fourier_range(lo, hi)
-
-
-def _columns(node, in_idx: np.ndarray, out_lo: int, out_hi: int) -> np.ndarray:
-    rows = out_hi - out_lo + 1
-    cols = len(in_idx)
-    M = np.zeros((rows, cols), dtype=complex)
-    ks = np.arange(out_lo, out_hi + 1)
-    if isinstance(node, (Paired, Transposed, Toeplitz, DualToeplitz, Hankel, HankelTilde, Mult)):
-        jmin, jmax = int(in_idx[0]), int(in_idx[-1])
-        slo, shi = out_lo - jmax, out_hi - jmin
-
-        def stream(sym):
-            if sym.is_zero:
-                return np.zeros(shi - slo + 1, dtype=complex)
-            return sym.fourier_range(slo, shi)
-
-        if isinstance(node, Paired):
-            sa, sb = stream(node.a), stream(node.b)
-            for c, j in enumerate(in_idx):
-                src = sa if j >= 0 else sb
-                M[:, c] = src[out_lo - j - slo : out_hi - j - slo + 1]
-            return M
-        if isinstance(node, Transposed):
-            sa, sb = stream(node.a), stream(node.b)
-            pos = ks >= 0
-            for c, j in enumerate(in_idx):
-                block_a = sa[out_lo - j - slo : out_hi - j - slo + 1]
-                block_b = sb[out_lo - j - slo : out_hi - j - slo + 1]
-                M[pos, c] = block_a[pos]
-                M[~pos, c] = block_b[~pos]
-            return M
-        sym = node.eta if isinstance(node, Mult) else node.a
-        ssym = stream(sym)
-        for c, j in enumerate(in_idx):
-            M[:, c] = ssym[out_lo - j - slo : out_hi - j - slo + 1]
-        return M
-    if isinstance(node, ProjPlus):
-        for c, j in enumerate(in_idx):
-            if j >= 0 and out_lo <= j <= out_hi:
-                M[j - out_lo, c] = 1.0
-        return M
-    if isinstance(node, ProjMinus):
-        for c, j in enumerate(in_idx):
-            if j < 0 and out_lo <= j <= out_hi:
-                M[j - out_lo, c] = 1.0
-        return M
+def _columns(node, in_idx: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Truncation of a normalized node to rows ``ks`` (a contiguous index
+    range) and columns ``in_idx``."""
     if isinstance(node, Sum):
-        return _columns(node.x, in_idx, out_lo, out_hi) + _columns(node.y, in_idx, out_lo, out_hi)
+        return _columns(node.x, in_idx, ks) + _columns(node.y, in_idx, ks)
     if isinstance(node, Scale):
-        return node.lam * _columns(node.x, in_idx, out_lo, out_hi)
+        return node.lam * _columns(node.x, in_idx, ks)
     if isinstance(node, (Compose, Commutator)):
+        # column-exact: each monomial's image through the rational pipeline
+        M = np.zeros((len(ks), len(in_idx)), dtype=complex)
         for c, j in enumerate(in_idx):
             img = _apply(node, RationalSymbol.monomial(int(j)))
-            if not img.is_zero:
-                M[:, c] = img.fourier_range(out_lo, out_hi)
+            M[:, c] = img.fourier_range(int(ks[0]), int(ks[-1]))
         return M
-    raise TypeError(f"unknown node {node!r}")
+    return node.columns(in_idx, ks)
 
 
 # ----------------------------------------------------------------------
@@ -470,70 +470,30 @@ def monomial_probes(k: int = 8) -> List[Tuple[RationalSymbol, RationalSymbol]]:
 
 
 # ----------------------------------------------------------------------
-# JSON wire format
+# JSON wire format: {"op": ..., field: value, ...} over the node's dataclass
+# fields in order; Scale's factor travels as "lambda".
+
+_ENCODE = {"RationalSymbol": lambda s: s.to_json(), "complex": lambda c: [c.real, c.imag]}
+_DECODE = {"RationalSymbol": RationalSymbol.from_json, "complex": lambda v: complex(v[0], v[1])}
+
+
+def _wire_name(f) -> str:
+    return f.metadata.get("json", f.name)
 
 
 def ast_to_json(node):
-    node = _normalize(node)
-    if isinstance(node, Paired):
-        return {"op": "paired", "a": node.a.to_json(), "b": node.b.to_json()}
-    if isinstance(node, Transposed):
-        return {"op": "transposed", "a": node.a.to_json(), "b": node.b.to_json()}
-    if isinstance(node, Toeplitz):
-        return {"op": "toeplitz", "a": node.a.to_json()}
-    if isinstance(node, DualToeplitz):
-        return {"op": "dual_toeplitz", "a": node.a.to_json()}
-    if isinstance(node, Hankel):
-        return {"op": "hankel", "a": node.a.to_json()}
-    if isinstance(node, HankelTilde):
-        return {"op": "hankel_tilde", "a": node.a.to_json()}
-    if isinstance(node, Mult):
-        return {"op": "mult", "eta": node.eta.to_json()}
-    if isinstance(node, ProjPlus):
-        return {"op": "proj_plus"}
-    if isinstance(node, ProjMinus):
-        return {"op": "proj_minus"}
-    if isinstance(node, Compose):
-        return {"op": "compose", "x": ast_to_json(node.x), "y": ast_to_json(node.y)}
-    if isinstance(node, Sum):
-        return {"op": "sum", "x": ast_to_json(node.x), "y": ast_to_json(node.y)}
-    if isinstance(node, Scale):
-        return {"op": "scale", "lambda": [node.lam.real, node.lam.imag], "x": ast_to_json(node.x)}
-    if isinstance(node, Commutator):
-        return {"op": "commutator", "x": ast_to_json(node.x), "y": ast_to_json(node.y)}
-    raise TypeError(f"unknown node {node!r}")
+    return _to_json(_normalize(node))
+
+
+def _to_json(node):
+    out = {"op": node.op}
+    for f in fields(node):
+        out[_wire_name(f)] = _ENCODE.get(f.type, _to_json)(getattr(node, f.name))
+    return out
 
 
 def ast_from_json(data):
-    op = data["op"]
-    S = RationalSymbol.from_json
-    if op == "paired":
-        return Paired(S(data["a"]), S(data["b"]))
-    if op == "transposed":
-        return Transposed(S(data["a"]), S(data["b"]))
-    if op == "toeplitz":
-        return Toeplitz(S(data["a"]))
-    if op == "dual_toeplitz":
-        return DualToeplitz(S(data["a"]))
-    if op == "hankel":
-        return Hankel(S(data["a"]))
-    if op == "hankel_tilde":
-        return HankelTilde(S(data["a"]))
-    if op == "mult":
-        return Mult(S(data["eta"]))
-    if op == "proj_plus":
-        return ProjPlus()
-    if op == "proj_minus":
-        return ProjMinus()
-    if op == "compose":
-        return Compose(ast_from_json(data["x"]), ast_from_json(data["y"]))
-    if op == "sum":
-        return Sum(ast_from_json(data["x"]), ast_from_json(data["y"]))
-    if op == "scale":
-        lam = complex(data["lambda"][0], data["lambda"][1])
-        return Scale(lam, ast_from_json(data["x"]))
-    if op == "adjoint":
-        return Adjoint(ast_from_json(data["x"]))
-    if op == "commutator":
-        return Commutator(ast_from_json(data["x"]), ast_from_json(data["y"]))
-    raise ValueError(f"unknown op {op!r}")
+    cls = _OPS.get(data["op"])
+    if cls is None:
+        raise ValueError(f"unknown op {data['op']!r}")
+    return cls(*[_DECODE.get(f.type, ast_from_json)(data[_wire_name(f)]) for f in fields(cls)])

@@ -44,26 +44,23 @@ def _sorted_roots(roots: Iterable[Root]) -> Tuple[Root, ...]:
     return tuple(sorted(roots, key=lambda r: (r.value.real, r.value.imag, r.mult)))
 
 
-def _match_cancel(zeros: List[Root], poles: List[Root], report: bool = False):
+def _same_root(u: complex, v: complex) -> bool:
+    """Whether u and v name one root: within EPS_CANCEL, relative to v."""
+    return abs(u - v) <= tol.EPS_CANCEL * max(1.0, abs(v))
+
+
+def _match_cancel(zeros: List[Root], poles: List[Root]):
     """Cancel zero/pole pairs whose values coincide within the cluster radius."""
     zs = [[r.value, r.mult, r.loc] for r in zeros]
     ps = [[r.value, r.mult, r.loc] for r in poles]
-    dropped_z: List[complex] = []
-    dropped_p: List[complex] = []
     for p in ps:
         for z in zs:
-            if z[1] == 0 or p[1] == 0:
-                continue
-            if abs(z[0] - p[0]) <= tol.EPS_CANCEL * max(1.0, abs(p[0])):
+            if z[1] and p[1] and _same_root(z[0], p[0]):
                 c = min(z[1], p[1])
                 z[1] -= c
                 p[1] -= c
-                dropped_z.extend([z[0]] * c)
-                dropped_p.extend([p[0]] * c)
     new_z = [Root(v, m, loc) for v, m, loc in zs if m > 0]
     new_p = [Root(v, m, loc) for v, m, loc in ps if m > 0]
-    if report:
-        return new_z, new_p, dropped_z, dropped_p
     return new_z, new_p
 
 
@@ -72,7 +69,7 @@ def _merge_union(a: Sequence[Root], b: Sequence[Root]) -> List[Root]:
     out = [[r.value, r.mult, r.loc] for r in a]
     for r in b:
         for o in out:
-            if abs(o[0] - r.value) <= tol.EPS_CANCEL * max(1.0, abs(r.value)):
+            if _same_root(o[0], r.value):
                 o[1] = max(o[1], r.mult)
                 break
         else:
@@ -86,7 +83,7 @@ def _deficit(union: Sequence[Root], have: Sequence[Root]) -> List[complex]:
     for u in union:
         m = u.mult
         for h in have:
-            if abs(h.value - u.value) <= tol.EPS_CANCEL * max(1.0, abs(u.value)):
+            if _same_root(h.value, u.value):
                 m -= h.mult
                 break
         vals.extend([u.value] * max(0, m))
@@ -134,10 +131,6 @@ class RationalSymbol:
         return cls.from_fraction(LaurentPoly(coeffs), LaurentPoly.one())
 
     @classmethod
-    def from_laurent(cls, lp: LaurentPoly) -> "RationalSymbol":
-        return cls.from_fraction(lp, LaurentPoly.one())
-
-    @classmethod
     def from_zpk(cls, gain: complex, zpow: int, zeros: Iterable[Root], poles: Iterable[Root]) -> "RationalSymbol":
         zs, ps = _match_cancel(list(zeros), list(poles))
         for r in zs + ps:
@@ -151,7 +144,6 @@ class RationalSymbol:
         num: LaurentPoly,
         den: LaurentPoly,
         den_roots: Optional[Sequence[Root]] = None,
-        verify: bool = False,
     ) -> "RationalSymbol":
         """Normalize num/den: cancel common roots, factor, classify locations."""
         if den.is_zero:
@@ -162,42 +154,15 @@ class RationalSymbol:
         d_lo, d_arr = den.to_array()
         zpow = n_lo - d_lo
         if den_roots is None:
-            den_roots_list = list(poly_roots(den).roots)
-        else:
-            den_roots_list = list(den_roots)
-        # Cancellation is confirmed by the numerator genuinely vanishing at
-        # the pole (relative to its Horner magnitude), not by proximity of
-        # re-discovered roots: a rediscovered root can land within any fixed
-        # radius of a pole without the function being regular there.
+            den_roots = poly_roots(den).roots
         d_lead = d_arr[-1]
-        p_arr = n_arr.copy()
-        kept_poles: List[Root] = []
-        dp: List[complex] = []
-        for r in den_roots_list:
-            mult = r.mult
-            for _ in range(r.mult):
-                if len(p_arr) <= 1:
-                    break
-                val = _polyval_asc(p_arr, r.value)
-                mag = _polymag_asc(p_arr, r.value)
-                if mag == 0.0 or abs(val) > tol.EPS_EQ * mag:
-                    break
-                p_arr = _deflate_root(p_arr, r.value)
-                dp.append(r.value)
-                mult -= 1
-            if mult > 0:
-                kept_poles.append(Root(r.value, mult, r.loc))
-        q_arr = d_arr
-        for v in dp:
-            q_arr = _deflate_root(q_arr, v)
+        p_arr, q_arr, kept_poles, _ = _cancel_poles(n_arr, d_arr, den_roots)
         num_roots = list(poly_roots(LaurentPoly.from_array(0, p_arr)).roots) if len(p_arr) > 1 else []
         gain = p_arr[-1] / d_lead
         sym = cls(gain, zpow, num_roots, kept_poles)
         # exact coefficient caches from the caller's data, deflation included
         sym._num = LaurentPoly.from_array(0, p_arr / d_lead).shift(zpow)
         sym._den = LaurentPoly.from_array(0, q_arr / d_lead)
-        if verify:
-            _verify_probe(sym, num, den)
         return sym
 
     # ------------------------------------------------------------------
@@ -281,9 +246,9 @@ class RationalSymbol:
         poles = list(self.poles) + list(other.poles)
         num_prod = self.num * other.num
         den_prod = self.den * other.den
-        # cancellation must be confirmed by the product numerator genuinely
-        # vanishing at the pole; a zero kept next to a pole by an operand was
-        # already adjudicated and must not be re-matched by distance
+        # only a zero near a pole can cancel (a zero kept next to a pole by an
+        # operand was already adjudicated and must not be re-matched by
+        # distance); the value test of _cancel_poles decides
         near = any(
             abs(z.value - p.value) <= 1e-6 * max(1.0, abs(p.value))
             for z in zeros
@@ -291,27 +256,10 @@ class RationalSymbol:
         )
         if near:
             lo = num_prod.lo
-            arr = _asc_from_zero(num_prod.shift(-lo))
-            kept_poles: List[Root] = []
-            cancelled: List[complex] = []
-            for p in poles:
-                mult = p.mult
-                for _ in range(p.mult):
-                    if len(arr) <= 1:
-                        break
-                    val = _polyval_asc(arr, p.value)
-                    mag = _polymag_asc(arr, p.value)
-                    if mag == 0.0 or abs(val) > tol.EPS_EQ * mag:
-                        break
-                    arr = _deflate_root(arr, p.value)
-                    cancelled.append(p.value)
-                    mult -= 1
-                if mult > 0:
-                    kept_poles.append(Root(p.value, mult, p.loc))
+            arr, d_arr, kept_poles, cancelled = _cancel_poles(
+                _asc_from_zero(num_prod.shift(-lo)), _asc_from_zero(den_prod), poles
+            )
             num_prod = LaurentPoly.from_array(0, arr).shift(lo)
-            d_arr = _asc_from_zero(den_prod)
-            for v in cancelled:
-                d_arr = _deflate_root(d_arr, v)
             den_prod = LaurentPoly.from_array(0, d_arr)
             kept_zeros: List[Root] = []
             remaining = list(cancelled)
@@ -425,31 +373,6 @@ class RationalSymbol:
         out._den = den.conj_reflect().shift(deg).scale(1.0 / d0.conjugate())
         return out
 
-    def reflect(self) -> "RationalSymbol":
-        """The substitution z -> 1/z (no conjugation)."""
-        if self.is_zero:
-            return self
-        gain = self.gain
-        zpow = -self.zpow
-        flip = {LOC_IN: LOC_OUT, LOC_OUT: LOC_IN, LOC_ON: LOC_ON}
-        zeros = []
-        for r in self.zeros:
-            gain *= (-r.value) ** r.mult
-            zpow -= r.mult
-            zeros.append(Root(1.0 / r.value, r.mult, flip[r.loc]))
-        poles = []
-        for r in self.poles:
-            gain /= (-r.value) ** r.mult
-            zpow += r.mult
-            poles.append(Root(1.0 / r.value, r.mult, flip[r.loc]))
-        out = RationalSymbol(gain, zpow, zeros, poles)
-        den = self.den
-        deg = den.degree_span()
-        d0 = den.coeff(0)
-        out._num = self.num.reflect_indices().shift(deg).scale(1.0 / d0)
-        out._den = den.reflect_indices().shift(deg).scale(1.0 / d0)
-        return out
-
     def derivative(self) -> "RationalSymbol":
         """d/dz, via the logarithmic derivative of the factored form."""
         if self.is_zero:
@@ -509,17 +432,6 @@ class RationalSymbol:
         if scale == 0.0:
             return True
         return float(np.abs(wa - wb).max()) <= rel * scale
-
-    def residual_vs(self, other) -> float:
-        """Relative cross-multiplied residual against another symbol."""
-        if isinstance(other, (int, float, complex)):
-            other = RationalSymbol.const(other)
-        a = self.num * other.den
-        b = other.num * self.den
-        scale = a.norm_inf() + b.norm_inf()
-        if scale == 0.0:
-            return 0.0
-        return (a - b).norm_inf() / scale
 
     # ------------------------------------------------------------------
     # Fourier data
@@ -766,7 +678,7 @@ class RationalSymbol:
             raise PoleOnCircle("unbounded on the circle")
         mod2 = self * self.conj_circle()  # real and nonnegative on |z|=1
         thetas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        vals = np.array([mod2.eval(cmath.exp(1j * t)).real for t in thetas])
+        vals = mod2.eval(np.exp(1j * thetas)).real
         i0 = int(np.argmax(vals))
         theta = float(thetas[i0])
         d1 = mod2.derivative()
@@ -844,12 +756,38 @@ def _combine_repeats(roots: List[Root]) -> List[Root]:
     out: List[List] = []
     for r in sorted(roots, key=lambda t: (t.value.real, t.value.imag)):
         for o in out:
-            if abs(o[0] - r.value) <= tol.EPS_CANCEL * max(1.0, abs(r.value)):
+            if _same_root(o[0], r.value):
                 o[1] += r.mult
                 break
         else:
             out.append([r.value, r.mult, r.loc])
     return [Root(v, m, loc) for v, m, loc in out]
+
+
+def _cancel_poles(num_arr: np.ndarray, den_arr: np.ndarray, poles: Iterable[Root]):
+    """Deflate each pole out of numerator and denominator (ascending arrays)
+    as often as the numerator vanishes there, relative to its Horner
+    magnitude.  Cancellation is decided by this value test, never by the
+    proximity of rediscovered roots: a rediscovered root can land within any
+    fixed radius of a pole without the function being regular there.
+
+    Returns (numerator, denominator, kept poles, cancelled pole values)."""
+    kept: List[Root] = []
+    cancelled: List[complex] = []
+    for r in poles:
+        mult = r.mult
+        while mult > 0 and len(num_arr) > 1:
+            mag = _polymag_asc(num_arr, r.value)
+            if mag == 0.0 or abs(_polyval_asc(num_arr, r.value)) > tol.EPS_EQ * mag:
+                break
+            num_arr = _deflate_root(num_arr, r.value)
+            cancelled.append(r.value)
+            mult -= 1
+        if mult > 0:
+            kept.append(Root(r.value, mult, r.loc))
+    for v in cancelled:
+        den_arr = _deflate_root(den_arr, v)
+    return num_arr, den_arr, kept, cancelled
 
 
 def _asc_from_zero(lp: LaurentPoly) -> np.ndarray:
@@ -920,14 +858,15 @@ def _series_div(num: np.ndarray, den: np.ndarray, order: int) -> np.ndarray:
     d0 = den[0]
     for i in range(order):
         acc = num[i] if i < len(num) else 0.0
-        for j in range(1, i + 1):
-            if j < len(den):
-                acc -= den[j] * out[i - j]
+        for j in range(1, min(i, len(den) - 1) + 1):
+            acc -= den[j] * out[i - j]
         out[i] = acc / d0
     return out
 
 
-def _verify_probe(sym: RationalSymbol, num: LaurentPoly, den: LaurentPoly):
+def rf_normalize(num: LaurentPoly, den: LaurentPoly) -> RationalSymbol:
+    """Public normalizer: cancel, factor, and certify by probe evaluation."""
+    sym = RationalSymbol.from_fraction(num, den)
     checked = 0
     for t in probe_points(16):
         dv = den.eval(t)
@@ -943,11 +882,7 @@ def _verify_probe(sym: RationalSymbol, num: LaurentPoly, den: LaurentPoly):
         checked += 1
     if checked < 4:
         raise ArithmeticError("too few usable probe points (denominator vanishes)")
-
-
-def rf_normalize(num: LaurentPoly, den: LaurentPoly) -> RationalSymbol:
-    """Public normalizer: cancel, factor, and certify by probe evaluation."""
-    return RationalSymbol.from_fraction(num, den, verify=True)
+    return sym
 
 
 def circle_conjugate(f: RationalSymbol) -> RationalSymbol:

@@ -71,20 +71,17 @@ def _cluster(values: np.ndarray) -> List[Tuple[complex, int]]:
 
 
 def _polish(coeffs_desc: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """One guarded Newton step per root against the original polynomial."""
+    """One guarded Newton step per root against the original polynomial,
+    taken for all roots in one vectorised pass."""
     deriv = np.polyder(np.poly1d(coeffs_desc)).coeffs
-    out = roots.copy()
     scale = np.max(np.abs(coeffs_desc))
-    for i, r in enumerate(roots):
-        pv = np.polyval(coeffs_desc, r)
-        dv = np.polyval(deriv, r) if len(deriv) else 0.0
-        if abs(dv) <= 1e-8 * scale * max(1.0, abs(r)) ** max(0, len(deriv) - 1):
-            continue  # near-multiple root; Newton would wander
-        step = pv / dv
-        cand = r - step
-        if abs(np.polyval(coeffs_desc, cand)) < abs(pv):
-            out[i] = cand
-    return out
+    pv = np.polyval(coeffs_desc, roots)
+    dv = np.polyval(deriv, roots)
+    # a near-multiple root keeps its value: Newton would wander
+    ok = np.abs(dv) > 1e-8 * scale * np.maximum(1.0, np.abs(roots)) ** (len(deriv) - 1)
+    cand = np.where(ok, roots - pv / np.where(ok, dv, 1.0), roots)
+    better = ok & (np.abs(np.polyval(coeffs_desc, cand)) < np.abs(pv))
+    return np.where(better, cand, roots)
 
 
 def poly_roots(p: LaurentPoly) -> RootSet:

@@ -1,10 +1,13 @@
 """Numeric policy knobs.
 
 All coefficients are double-precision complex; "exact" equality means a
-relative residual below EPS_EQ.  The constants below are module-level so a
-process can reconfigure them once at startup (the CLI does this from its
-config file); library code reads them through the module at call time.
+relative residual below EPS_EQ.  The constants below are module-level and
+library code reads them through the module at call time; ``configured``
+overrides them for the length of a ``with`` block (the CLI applies its
+config file this way, one command at a time).
 """
+
+import contextlib
 
 # Relative tolerance for exact-equality decisions between rational functions.
 EPS_EQ = 1e-11
@@ -25,9 +28,6 @@ EPS_CANCEL = 1e-9
 # Coefficients below EPS_DROP * (scale) are pruned from Laurent polynomials.
 EPS_DROP = 1e-13
 
-# Acceptable relative residual |p(root)| / ||p|| after root polishing.
-EPS_ROOT = 1e-10
-
 # Default tolerance for numerical rank decisions (relative to sigma_max).
 RANK_TOL = 1e-10
 
@@ -43,10 +43,22 @@ _CONFIGURABLE = {
 
 
 def configure(**kwargs):
-    """Override tolerance constants process-wide (used by the CLI)."""
+    """Override tolerance constants process-wide, until changed again."""
     for key, value in kwargs.items():
         if key not in _CONFIGURABLE:
             raise KeyError(key)
         if not (isinstance(value, (int, float)) and value > 0):
             raise ValueError(f"{key} must be a positive number")
         globals()[_CONFIGURABLE[key]] = float(value)
+
+
+@contextlib.contextmanager
+def configured(**kwargs):
+    """Override tolerance constants inside a with-block; the previous values
+    come back when it exits."""
+    saved = {name: globals()[name] for name in _CONFIGURABLE.values()}
+    try:
+        configure(**kwargs)
+        yield
+    finally:
+        globals().update(saved)

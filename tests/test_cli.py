@@ -177,3 +177,36 @@ def test_symbol_json_round_trip_through_cli(tmp_path, capsys):
     prod = fac_minus * RationalSymbol.monomial(data["kappa"]) * g_back
     for t in probe_points(8):
         assert abs(prod.eval(t) - orig.eval(t)) <= 1e-11 * max(1.0, abs(orig.eval(t)))
+
+
+def test_config_rank_tol_is_used_and_restored(tmp_path, capsys, monkeypatch):
+    # the flag wins over the config file, which wins over the default; a
+    # config applies to its own call only
+    import pairedk.cli as cli
+    from pairedk import tolerances as tol
+
+    monkeypatch.delenv("PAIREDK_CONFIG", raising=False)
+    seen = []
+    oracle, rank = cli.kernel_oracle, cli.numerical_rank
+
+    def spy_oracle(node, N, rank_tol=None):
+        seen.append(("kernel", tol.RANK_TOL if rank_tol is None else rank_tol))
+        return oracle(node, N, rank_tol)
+
+    def spy_rank(M, rank_tol=None):
+        seen.append(("commutator", tol.RANK_TOL if rank_tol is None else rank_tol))
+        return rank(M, rank_tol)
+
+    monkeypatch.setattr(cli, "kernel_oracle", spy_oracle)
+    monkeypatch.setattr(cli, "numerical_rank", spy_rank)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rank_tol": 1e-8}))
+    kernel = ["kernel", "--type", "paired", "--a", A_JSON, "--b", B_JSON, "--N", "16"]
+    comm = ["commutator", "--type", "paired", "--a", A_JSON, "--b", B_JSON, "--g", '{"coeffs":{"1":[1,0]}}']
+    for argv in (kernel, comm):
+        assert main(argv + ["--config", str(cfg)]) == 0
+        assert main(argv) == 0
+        assert main(argv + ["--config", str(cfg), "--tol", "1e-9"]) == 0
+    capsys.readouterr()
+    assert seen == [(cmd, t) for cmd in ("kernel", "commutator") for t in (1e-8, 1e-10, 1e-9)]
+    assert tol.RANK_TOL == 1e-10

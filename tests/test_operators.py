@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from pairedk import (
     Adjoint,
     Commutator,
     Compose,
+    DualToeplitz,
     Hankel,
     HankelTilde,
     Mult,
@@ -225,3 +228,54 @@ def test_ast_json_round_trip():
 def test_bandwidth_accumulates():
     assert bandwidth(Mult(R.monomial(1))) == 1
     assert bandwidth(Compose(Mult(R.monomial(2)), Mult(R.monomial(1)))) == 3
+
+
+# ---------------------------------------------------------------- every op
+
+A_P = C({0: 1, 1: 0.5j}) / C({0: 2.4, 1: 1})  # pole outside the disc
+B_P = C({0: 1, -1: -0.3}) / C({0: -0.4 + 0.1j, 1: 1})  # pole inside
+
+# op -> (expression, class of its normalized adjoint)
+EVERY_OP = {
+    "paired": (Paired(A_P, B_P), Transposed),
+    "transposed": (Transposed(A_P, B_P), Paired),
+    "toeplitz": (Toeplitz(A_P), Toeplitz),
+    "dual_toeplitz": (DualToeplitz(B_P), DualToeplitz),
+    "hankel": (Hankel(B_P), HankelTilde),
+    "hankel_tilde": (HankelTilde(A_P), Hankel),
+    "mult": (Mult(B_P), Mult),
+    "proj_plus": (ProjPlus(), ProjPlus),
+    "proj_minus": (ProjMinus(), ProjMinus),
+    "compose": (Compose(Paired(A_P, B_P), Mult(A_P)), Compose),
+    "sum": (Sum(Paired(A_P, B_P), ProjMinus()), Sum),
+    "scale": (Scale(2.0 - 1j, Transposed(B_P, A_P)), Scale),
+    "adjoint": (Adjoint(Hankel(A_P)), Hankel),
+    "commutator": (Commutator(Paired(A_P, B_P), Mult(R.monomial(1))), Commutator),
+}
+
+
+@pytest.mark.parametrize("op", sorted(EVERY_OP))
+def test_every_op_wire_form_adjoint_and_truncation(op):
+    node, adjoint_cls = EVERY_OP[op]
+    wire = ast_to_json(node)
+    assert json.dumps(ast_to_json(ast_from_json(wire))) == json.dumps(wire)
+    assert isinstance(build(Adjoint(node)), adjoint_cls)
+    M = truncate(node, 6)
+    assert list(M.out_indices) == list(range(M.out_indices[0], M.out_indices[-1] + 1))
+    want = _exact_columns(node, M)
+    assert np.abs(M.entries - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _exact_columns(node, M):
+    lo, hi = int(M.out_indices[0]), int(M.out_indices[-1])
+    return np.stack([apply_exact(node, R.monomial(int(j))).fourier_range(lo, hi) for j in M.in_indices], axis=1)
+
+
+def test_truncate_sum_of_compressions_into_l2():
+    # the summands' codomains differ, so the rows run over L2 and each
+    # compression must zero the rows its projection removes
+    node = Sum(Toeplitz(A_P), Hankel(B_P))
+    M = truncate(node, 6)
+    assert M.out_indices.min() < 0 <= M.in_indices.min()
+    want = _exact_columns(node, M)
+    assert np.abs(M.entries - want).max() <= 1e-12 * np.abs(want).max()

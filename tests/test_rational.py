@@ -226,6 +226,15 @@ def test_sup_circle_values():
     assert R.const(2.0).sup_circle(64) == pytest.approx(2.0)
 
 
+def test_eval_on_point_array_matches_scalar_path():
+    # sup_circle evaluates its whole grid in one array pass
+    f = C({0: 1, 1: 0.5j}) / C({0: 2.4, 1: 1}) + C({-2: 1, 0: -0.3}) / C({0: -0.4 + 0.1j, 1: 1})
+    mod2 = f * f.conj_circle()
+    zs = np.exp(2j * np.pi * np.arange(8192) / 8192)
+    ref = np.array([mod2.eval(complex(z)) for z in zs])
+    assert np.abs(mod2.eval(zs) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_json_round_trip_probe_agreement():
     syms = [
         C({0: 1, -1: 1}),
