@@ -81,7 +81,6 @@ from .operators import (
     bandwidth,
     build,
     identity,
-    monomial_probes,
     nondegenerate,
     numerical_rank,
     operator_norm,

@@ -39,7 +39,7 @@ from .errors import (
 )
 from .factorization import blaschke, inner_outer, wiener_hopf, winding_index
 from .operators import bandwidth, build, truncate
-from .rational import RationalSymbol, SpaceTag
+from .rational import RationalSymbol, SpaceTag, decay_window
 from .roots import LOC_IN, LOC_OUT, Root
 
 H2P, H2M = SpaceTag.H2PLUS, SpaceTag.H2MINUS
@@ -480,17 +480,6 @@ def model_space_basis(theta: RationalSymbol) -> KernelBasis:
 
 # ----------------------------------------------------------------------
 # linear-algebra helpers over coefficient windows
-
-
-def decay_window(elems: Sequence[RationalSymbol], floor: int = 48, cap: int = 400) -> int:
-    """Window half-width so that coefficient tails are below machine noise."""
-    r = 0.0
-    for e in elems:
-        r = max(r, e.max_decay_radius())
-    if r <= 0.0:
-        return floor
-    need = int(math.ceil(-16.0 * math.log(10.0) / math.log(r))) if r < 1 else cap
-    return max(floor, min(cap, need))
 
 
 def coeff_matrix(elems: Sequence[RationalSymbol], half_width: Optional[int] = None) -> np.ndarray:

@@ -148,10 +148,6 @@ class LaurentPoly:
         """The polynomial z -> conj(p(z)) for |z| = 1: negate indices, conjugate."""
         return LaurentPoly({-k: v.conjugate() for k, v in self._c.items()})
 
-    def reflect_indices(self) -> "LaurentPoly":
-        """The substitution z -> 1/z: negate indices, keep coefficients."""
-        return LaurentPoly({-k: v for k, v in self._c.items()})
-
     # -- evaluation / conversion ---------------------------------------
 
     def eval(self, z: complex) -> complex:

@@ -9,13 +9,15 @@ commutator).  Truncations are rectangular: the domain window is [-N..N]
 the expression bandwidth, so polynomial inputs are mapped exactly.
 
 Each leaf node class owns its semantics (spaces, adjoint, exact action and
-truncation); the tree walkers below branch only on the five combinators.
+truncation); the tree walkers below branch only on the five combinators.  A
+composition truncates as the product of its factors' truncations, padded by
+``decay_window`` (tails below 1e-16 relative; pole-free trees stay exact).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from .errors import (
     SymbolNotBounded,
     WindowOverflow,
 )
-from .rational import RationalSymbol, SpaceTag, inner_product
+from .rational import RationalSymbol, SpaceTag, decay_window
 
 L2, H2P, H2M = SpaceTag.L2, SpaceTag.H2PLUS, SpaceTag.H2MINUS
 _SIDE = {H2P: "plus", H2M: "minus"}  # the Riesz projection onto each Hardy space
@@ -238,13 +240,15 @@ def identity() -> Mult:
     return Mult(RationalSymbol.const(1.0))
 
 
-# a field annotated RationalSymbol holds a symbol, one annotated object an operand
-def _symbols_of(node) -> List[RationalSymbol]:
-    return [getattr(node, f.name) for f in fields(node) if f.type == "RationalSymbol"]
-
-
-def _children(node) -> list:
-    return [getattr(node, f.name) for f in fields(node) if f.type == "object"]
+def _symbols_in(node) -> List[RationalSymbol]:
+    """Every symbol of the tree under ``node``, repeats included: a field
+    annotated RationalSymbol holds a symbol, one annotated object an operand."""
+    out, stack = [], [node]
+    while stack:
+        n = stack.pop()
+        out += [getattr(n, f.name) for f in fields(n) if f.type == "RationalSymbol"]
+        stack += [getattr(n, f.name) for f in fields(n) if f.type == "object"]
+    return out
 
 
 def _adjoint(node):
@@ -305,21 +309,15 @@ def bandwidth(node) -> int:
     if isinstance(node, Scale):
         return bandwidth(node.x)
     if isinstance(node, _Leaf):
-        return max((_symbol_bandwidth(s) for s in _symbols_of(node)), default=0)
+        return max((_symbol_bandwidth(s) for s in _symbols_in(node)), default=0)
     raise TypeError(f"bandwidth of an unnormalized node {node!r}")
 
 
 def build(node):
     """Validate an expression: bounded symbols, coherent spaces, no Adjoint."""
     norm = _normalize(node)
-
-    def _walk(n):
-        if any(s.has_circle_pole for s in _symbols_of(n)):
-            raise SymbolNotBounded("symbol has a pole on the circle")
-        for child in _children(n):
-            _walk(child)
-
-    _walk(norm)
+    if any(s.has_circle_pole for s in _symbols_in(norm)):
+        raise SymbolNotBounded("symbol has a pole on the circle")
     spaces(norm)  # raises DomainMismatch on incoherent trees
     return norm
 
@@ -378,8 +376,9 @@ def _window(tag: SpaceTag, lo: int, hi: int) -> np.ndarray:
 
 
 def truncate(node, N: int) -> TruncationMatrix:
-    """Rectangular truncation; column j holds the exact Fourier window of the
-    image of z^j."""
+    """Rectangular truncation; column j holds the Fourier window of the image
+    of z^j.  Compositions are matrix products padded by ``decay_window``:
+    tails below 1e-16 relative are dropped, and pole-free trees stay exact."""
     node = build(node)
     d = bandwidth(node)
     if N < d:
@@ -393,19 +392,23 @@ def truncate(node, N: int) -> TruncationMatrix:
 
 
 def _columns(node, in_idx: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """Truncation of a normalized node to rows ``ks`` (a contiguous index
-    range) and columns ``in_idx``."""
+    """Truncation of a normalized node to the contiguous windows ``ks`` x ``in_idx``."""
+    if not (len(in_idx) and len(ks)):  # an H2- window at N = 0
+        return np.zeros((len(ks), len(in_idx)), dtype=complex)
     if isinstance(node, Sum):
         return _columns(node.x, in_idx, ks) + _columns(node.y, in_idx, ks)
     if isinstance(node, Scale):
         return node.lam * _columns(node.x, in_idx, ks)
-    if isinstance(node, (Compose, Commutator)):
-        # column-exact: each monomial's image through the rational pipeline
-        M = np.zeros((len(ks), len(in_idx)), dtype=complex)
-        for c, j in enumerate(in_idx):
-            img = _apply(node, RationalSymbol.monomial(int(j)))
-            M[:, c] = img.fourier_range(int(ks[0]), int(ks[-1]))
-        return M
+    if isinstance(node, Compose):  # images of z^j spread by the bandwidth and pole tails
+        pad = bandwidth(node) + decay_window(_symbols_in(node), floor=0)
+        mid = np.arange(min(ks[0], in_idx[0]) - pad, max(ks[-1], in_idx[-1]) + pad + 1)
+        return _columns(node.x, mid, ks) @ _columns(node.y, in_idx, mid)
+    if isinstance(node, Commutator):
+        xy = _columns(Compose(node.x, node.y), in_idx, ks)
+        yx = _columns(Compose(node.y, node.x), in_idx, ks)
+        top = np.maximum(np.abs(xy).max(axis=0), np.abs(yx).max(axis=0))
+        # a column cancelling to roundoff is zero, as the rational difference would be
+        return np.where(np.abs(xy - yx).max(axis=0) > tol.EPS_EQ * top, xy - yx, 0)
     return node.columns(in_idx, ks)
 
 
@@ -452,21 +455,17 @@ def numerical_rank(M, rank_tol: Optional[float] = None) -> RankResult:
     return RankResult(rank, gap, gap < tol.GAP_MIN, smax)
 
 
-def adjoint_residual(node_x, node_y, probes: Sequence[Tuple[RationalSymbol, RationalSymbol]]) -> float:
-    """max over probes (f, g) of |<Xf, g> - <f, Yg>| from exact inner products."""
-    x = build(node_x)
-    y = build(node_y)
-    worst = 0.0
-    for f, g in probes:
-        lhs = inner_product(apply_exact(x, f), g)
-        rhs = inner_product(f, apply_exact(y, g))
-        worst = max(worst, abs(lhs - rhs))
-    return worst
-
-
-def monomial_probes(k: int = 8) -> List[Tuple[RationalSymbol, RationalSymbol]]:
-    ms = [RationalSymbol.monomial(j) for j in range(-k, k + 1)]
-    return [(f, g) for f in ms for g in ms]
+def adjoint_residual(node_x, node_y, k: int) -> float:
+    """max |<X z^i, z^j> - <z^i, Y z^j>| over the monomials |i|, |j| <= k of
+    X's domain and codomain: the largest entry of T_X - T_Y^H, truncated as
+    in ``truncate`` (exact for pole-free trees, else tails below 1e-16)."""
+    x, y = build(node_x), build(node_y)
+    dom, cod = spaces(x)
+    if spaces(y) != (cod, dom):
+        raise DomainMismatch("the candidate adjoint must map the codomain back to the domain")
+    cols, rows = _window(dom, -k, k), _window(cod, -k, k)
+    diff = _columns(x, cols, rows) - _columns(y, rows, cols).conj().T
+    return float(np.abs(diff).max(initial=0.0))
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import tolerances as tol
-from .errors import UnknownProperty
+from .errors import PairedKError, UnknownProperty
 from .factorization import winding_index
 from .kernels import (
     SymbolPair,
@@ -47,16 +47,16 @@ from .operators import (
     Scale,
     Sum,
     Transposed,
+    _symbols_in,
     adjoint_residual,
     apply_exact,
     bandwidth,
     identity,
-    monomial_probes,
     numerical_rank,
     operator_norm,
     truncate,
 )
-from .rational import RationalSymbol, SpaceTag
+from .rational import RationalSymbol, SpaceTag, decay_window
 from .roots import LOC_IN, LOC_ON, LOC_OUT, Root
 from .sampling import (
     SamplerProfile,
@@ -165,8 +165,6 @@ def _id_residual(lhs: RationalSymbol, rhs: RationalSymbol, floor: float) -> floa
     Comparing coefficient windows keeps the metric meaningful when the exact
     image happens to be near zero (the cross-multiplied rational residual
     would then divide by a vanishing quantity)."""
-    from .kernels import decay_window
-
     K = decay_window([s for s in (lhs, rhs) if not s.is_zero] or [RationalSymbol.const(1.0)])
     dl = lhs.fourier_range(-K, K)
     dr = rhs.fourier_range(-K, K)
@@ -302,8 +300,8 @@ def _p_finrank(rng, cfg):
     node = Commutator(Paired(p.a, p.b), Mult(eta))
     d = bandwidth(node)
     n1 = max(32, 2 * d)
-    # rank threshold sits above the column-assembly noise floor (~1e-10
-    # relative) and below the smallest genuine singular value
+    # rank threshold sits well above the truncation noise floor and below
+    # the smallest genuine singular value
     rank_tol = 1e-7
     r1 = numerical_rank(truncate(node, n1), rank_tol)
     r2 = numerical_rank(truncate(node, 2 * n1), rank_tol)
@@ -314,16 +312,7 @@ def _p_finrank(rng, cfg):
 
 
 def _op_coeff_scale(node) -> float:
-    from .operators import _symbols_of, _children
-
-    total = 0.0
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        for s in _symbols_of(n):
-            total += _coeff_scale(s)
-        stack.extend(_children(n))
-    return max(total, 1.0)
+    return max(sum(_coeff_scale(s) for s in _symbols_in(node)), 1.0)
 
 
 def _commutes_on_probes(x, y, probes) -> bool:
@@ -456,14 +445,13 @@ def _p_kercomm_sig(rng, cfg):
 
 
 def _p_adj(rng, cfg):
-    probes = monomial_probes(6)
     a = sample_symbol(GENERIC, rng)
     c = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
     b = a - c
     if b.is_zero:
         return True, {"skipped": "degenerate shift"}
     pos = adjoint_residual(
-        Paired(a, b), Paired(a.conj_circle(), b.conj_circle()), probes
+        Paired(a, b), Paired(a.conj_circle(), b.conj_circle()), 6
     )
     if pos > 1e-12:
         return False, {"reason": "adjoint residual for constant difference", "residual": pos}
@@ -473,7 +461,7 @@ def _p_adj(rng, cfg):
     if b2.is_zero:
         return True, {"skipped": "degenerate nonconstant shift"}
     neg = adjoint_residual(
-        Paired(a, b2), Paired(a.conj_circle(), b2.conj_circle()), probes
+        Paired(a, b2), Paired(a.conj_circle(), b2.conj_circle()), 6
     )
     if neg < 1e-3:
         return False, {"reason": "nonconstant difference looked self-adjoint", "residual": neg}
@@ -783,7 +771,7 @@ def _p_coburn_sig(rng, cfg):
     try:
         r1 = nontrivial_Sigma(p)
         r2 = nontrivial_Sigma(p.swap())
-    except Exception:
+    except PairedKError:
         return True, {"skipped": "degenerate pair"}
     if r1.status is True and r2.status is True:
         return False, {"reason": "both opposite transposed kernels nontrivial"}

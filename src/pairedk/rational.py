@@ -40,6 +40,17 @@ class SpaceTag(enum.Enum):
     OUTER_MINUS = "OuterMinus"
 
 
+def decay_window(elems: Sequence["RationalSymbol"], floor: int = 48, cap: int = 400) -> int:
+    """Half-width w, between ``floor`` and ``cap``, with r^w below 1e-16 for
+    the largest decay radius r of ``elems``: coefficient tails beyond w are
+    below machine noise relative to the leading coefficients."""
+    r = max((e.max_decay_radius() for e in elems), default=0.0)
+    if r <= 0.0:
+        return floor
+    need = int(math.ceil(-16.0 * math.log(10.0) / math.log(r))) if r < 1 else cap
+    return max(floor, min(cap, need))
+
+
 def _sorted_roots(roots: Iterable[Root]) -> Tuple[Root, ...]:
     return tuple(sorted(roots, key=lambda r: (r.value.real, r.value.imag, r.mult)))
 
@@ -422,10 +433,7 @@ class RationalSymbol:
         return self._window_close(other, rel)
 
     def _window_close(self, other: "RationalSymbol", rel: float) -> bool:
-        r = max(self.max_decay_radius(), other.max_decay_radius())
-        if r >= 1.0:
-            return False
-        K = 48 if r == 0.0 else min(400, max(48, int(math.ceil(-16.0 * math.log(10.0) / math.log(r)))))
+        K = decay_window([self, other])  # neither has a circle pole
         wa = self.fourier_range(-K, K)
         wb = other.fourier_range(-K, K)
         scale = max(float(np.abs(wa).max()), float(np.abs(wb).max()))

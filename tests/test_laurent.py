@@ -52,12 +52,10 @@ def test_eval_two_sided_horner():
     assert abs(f.eval(z) - expect) < 1e-14
 
 
-def test_conj_reflect_and_reflect_indices():
+def test_conj_reflect():
     f = LP({1: 1j, -2: 2})
     cr = f.conj_reflect()
     assert dict(cr.items()) == {-1: -1j, 2: 2}
-    rf = f.reflect_indices()
-    assert dict(rf.items()) == {-1: 1j, 2: 2}
 
 
 def test_from_roots_expansion_exact():

@@ -25,7 +25,6 @@ from pairedk import (
     ast_to_json,
     bandwidth,
     build,
-    monomial_probes,
     nondegenerate,
     numerical_rank,
     operator_norm,
@@ -33,7 +32,7 @@ from pairedk import (
 )
 from pairedk.errors import DomainMismatch, SymbolNotBounded, WindowOverflow
 
-from oracles import brute_paired_apply, brute_transposed_apply, grid
+from oracles import brute_paired_apply, brute_transposed_apply, fft_project, grid, sample_boundary
 
 R = RationalSymbol
 
@@ -163,6 +162,9 @@ def test_toeplitz_windows_respect_domain():
     M = truncate(Toeplitz(A_CZ.conj_circle()), 4)
     assert M.in_indices.min() == 0
     assert M.out_indices.min() == 0
+    # the H2- windows at N = 0 are empty
+    for node in (DualToeplitz(R.const(2)), Compose(DualToeplitz(R.const(2)), DualToeplitz(R.const(3)))):
+        assert truncate(node, 0).entries.shape == (0, 0)
 
 
 # ---------------------------------------------------------------- norms/ranks
@@ -197,19 +199,28 @@ def test_numerical_rank_commuting_case():
 def test_adjoint_residual_constant_difference():
     X = Paired(C({0: 1, 1: 1}), R.monomial(1))
     Y = Paired(C({0: 1, -1: 1}), R.monomial(-1))
-    assert adjoint_residual(X, Y, monomial_probes(8)) <= 1e-12
+    assert adjoint_residual(X, Y, 8) <= 1e-12
 
 
 def test_adjoint_residual_true_adjoint():
     X = Paired(R.monomial(1), R.const(1))
     Y = Transposed(R.monomial(-1), R.const(1))
-    assert adjoint_residual(X, Y, monomial_probes(8)) <= 1e-12
+    assert adjoint_residual(X, Y, 8) <= 1e-12
 
 
 def test_adjoint_residual_wrong_candidate():
     X = Paired(R.monomial(1), R.const(1))
     Y = Paired(R.monomial(-1), R.const(1))
-    assert adjoint_residual(X, Y, monomial_probes(8)) > 0.5
+    assert adjoint_residual(X, Y, 8) > 0.5
+
+
+def test_adjoint_residual_over_declared_spaces():
+    # compressions are probed on the monomials of their own Hardy spaces
+    a = C({0: 1, 1: 0.5j, -2: 0.25}) / C({0: 2.4, 1: 1})
+    assert adjoint_residual(Toeplitz(a), Toeplitz(a.conj_circle()), 8) <= 1e-12
+    assert adjoint_residual(Hankel(a), HankelTilde(a.conj_circle()), 8) <= 1e-12
+    with pytest.raises(DomainMismatch):
+        adjoint_residual(Hankel(a), Hankel(a.conj_circle()), 8)
 
 
 # ---------------------------------------------------------------- wire form
@@ -279,3 +290,70 @@ def test_truncate_sum_of_compressions_into_l2():
     assert M.out_indices.min() < 0 <= M.in_indices.min()
     want = _exact_columns(node, M)
     assert np.abs(M.entries - want).max() <= 1e-12 * np.abs(want).max()
+
+
+# ---------------------------------------------------------------- one truncation path
+
+R07_IN = C({0: 1, 1: 0.5}) / C({0: -0.7, 1: 1})  # pole at 0.7
+R07_OUT = C({0: 1, -1: -0.3j}) / C({0: 1, 1: -0.7})  # pole at 1/0.7
+R07_ETA = C({0: 0.5, 2: 1}) / (C({0: 0.69j, 1: 1}) * C({0: -1.45, 1: 1}))
+
+
+def _grid_window(node, M, n=4096):
+    """FFT-grid reference: each column applies the node to the sampled z^j."""
+    zs = grid(n)
+    vals = {}
+
+    def sampled(s):
+        if id(s) not in vals:
+            vals[id(s)] = sample_boundary(s, n)
+        return vals[id(s)]
+
+    def act(nd, v):
+        if isinstance(nd, Compose):
+            return act(nd.x, act(nd.y, v))
+        if isinstance(nd, Commutator):
+            return act(nd.x, act(nd.y, v)) - act(nd.y, act(nd.x, v))
+        if isinstance(nd, Mult):
+            return sampled(nd.eta) * v
+        return sampled(nd.a) * fft_project(v, "plus") + sampled(nd.b) * fft_project(v, "minus")
+
+    ks = M.out_indices
+    cols = [np.fft.fft(act(node, zs ** int(j)))[ks % n] / n for j in M.in_indices]
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize(
+    "node, N",
+    [
+        (Compose(Paired(R07_IN, R07_OUT), Mult(R07_ETA)), 24),
+        (Compose(Mult(R07_ETA), Paired(R07_OUT, R07_IN)), 28),
+        (Commutator(Paired(R07_IN, R07_OUT), Mult(R07_ETA)), 32),
+        (Commutator(Paired(R07_IN, R07_OUT), Paired(R07_ETA, R07_IN)), 24),
+    ],
+)
+def test_composed_truncation_matches_fft_grid(node, N):
+    M = truncate(node, N)
+    want = _grid_window(node, M)
+    assert np.abs(M.entries - want).max() <= 1e-11 * np.abs(want).max()
+
+
+def test_commuting_commutators_truncate_to_exact_zeros():
+    e = R07_IN * R07_OUT
+    for node in (
+        Commutator(Paired(e, e), Mult(R07_ETA)),
+        Commutator(Paired(R07_IN, R07_OUT), Mult(R.const(0.3 - 1.7j))),
+    ):
+        M = truncate(node, 24)
+        assert not M.entries.any()
+        assert numerical_rank(M).rank == 0
+
+
+def test_truncation_and_adjoint_residual_skip_riesz(monkeypatch):
+    def refuse(self, side):
+        raise AssertionError("riesz called")
+
+    monkeypatch.setattr(RationalSymbol, "riesz", refuse)
+    truncate(Commutator(Paired(A_P, B_P), Mult(B_P)), 16)
+    X = Compose(Paired(A_P, B_P), Mult(A_P))
+    assert adjoint_residual(X, Adjoint(X), 6) <= 1e-12
