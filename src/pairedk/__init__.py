@@ -12,7 +12,6 @@ from .errors import (
     DomainMismatch,
     MalformedConfig,
     NotInHardySpace,
-    NotInHardySpaces,
     NotInKernel,
     NotInner,
     OracleIndeterminate,
@@ -81,7 +80,6 @@ from .operators import (
     bandwidth,
     build,
     identity,
-    nondegenerate,
     numerical_rank,
     operator_norm,
     truncate,

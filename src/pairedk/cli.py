@@ -7,6 +7,8 @@ Exit codes: 0 success / all checks pass, 1 a check failed, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import os
 import sys
@@ -43,10 +45,7 @@ from .rational import RationalSymbol
 
 CONFIG_ENV = "PAIREDK_CONFIG"
 CONFIG_KEYS = {
-    "eps_eq": float,
-    "eps_circle": float,
-    "eps_cluster": float,
-    "rank_tol": float,
+    **dict.fromkeys(tol.SETTABLE, float),
     "oracle_N": int,
     "trials": int,
     "parallelism": int,
@@ -106,6 +105,13 @@ def _human_summary(payload):
     if "status" in payload:
         dim = payload.get("dimension")
         print(f"# kernel status={payload['status']} dimension={dim}", file=sys.stderr)
+    for rep in payload.get("reports", []):
+        ok = rep.get("passes") == rep.get("trials") and not rep.get("failures")
+        print(
+            f"# {rep.get('property')}: {rep.get('passes')}/{rep.get('trials')} "
+            f"{'pass' if ok else 'FAIL'}",
+            file=sys.stderr,
+        )
     if "all_pass" in payload:
         verdict = "all properties passed" if payload["all_pass"] else "FAILURES present"
         print(f"# {verdict}", file=sys.stderr)
@@ -148,9 +154,7 @@ def _cmd_kernel(args, cfg):
         payload["nontrivial"] = res.status if isinstance(res.status, str) else bool(res.status)
         payload["witness_checks"] = checks
     if args.N:
-        node = _build_operator(args) if kind != "toeplitz" else Toeplitz(_symbol_arg(args.g))
-        oracle = kernel_oracle(node, args.N, args.tol)
-        payload["oracle"] = oracle.to_json()
+        payload["oracle"] = kernel_oracle(_build_operator(args), args.N).to_json()
     _emit(args, payload)
     if args.human:
         _human_summary(payload)
@@ -185,7 +189,7 @@ def _cmd_factor(args, cfg):
 
 def _cmd_norm(args, cfg):
     node = _build_operator(args)
-    n = args.N or cfg.get("oracle_N", 64)
+    n = args.N or cfg.get("oracle_N", RunConfig.oracle_N)
     value = operator_norm(node, n)
     _emit(args, {"norm_lower_bound": value, "N": n})
     return 0
@@ -198,7 +202,7 @@ def _cmd_commutator(args, cfg):
         raise MalformedConfig("commutator needs --g as the multiplier symbol")
     node = Commutator(base, Mult(eta))
     n = args.N or max(16, 2 * bandwidth(node))
-    res = numerical_rank(truncate(node, n), args.tol)
+    res = numerical_rank(truncate(node, n))
     payload = {
         "rank": res.rank,
         "gap": res.gap if res.gap != float("inf") else "inf",
@@ -212,11 +216,6 @@ def _cmd_commutator(args, cfg):
 
 
 def _cmd_verify(args, cfg):
-    run_cfg = RunConfig(
-        oracle_N=cfg.get("oracle_N", 64),
-        rank_tol=tol.RANK_TOL if args.tol is None else args.tol,
-        parallelism=cfg.get("parallelism", 1),
-    )
     trials = args.trials or cfg.get("trials")
     if args.all:
         ids = registered_ids()
@@ -224,13 +223,11 @@ def _cmd_verify(args, cfg):
         ids = [args.property]
     else:
         raise MalformedConfig("verify needs --all or --property <id>")
+    run_cfg = RunConfig(**{f.name: cfg[f.name] for f in dataclasses.fields(RunConfig) if f.name in cfg})
     suite = run_suite(ids, trials, args.seed, run_cfg)
     payload = suite.to_json()
     _emit(args, payload)
     if args.human:
-        for rep in suite.reports:
-            mark = "pass" if rep.all_pass() else "FAIL"
-            print(f"# {rep.property_id}: {rep.passes}/{rep.trials} {mark}", file=sys.stderr)
         _human_summary(payload)
     return 0 if suite.all_pass() else 1
 
@@ -242,13 +239,7 @@ def _cmd_report(args, cfg):
         payload = json.load(fh)
     _emit(args, payload)
     if args.human and isinstance(payload, dict):
-        for rep in payload.get("reports", []):
-            ok = not rep.get("failures")
-            print(
-                f"# {rep.get('property')}: {rep.get('passes')}/{rep.get('trials')} "
-                f"{'pass' if ok else 'FAIL'}",
-                file=sys.stderr,
-            )
+        _human_summary(payload)
     if isinstance(payload, dict) and payload.get("all_pass") is False:
         return 1
     return 0
@@ -260,47 +251,33 @@ def build_parser():
         description="Kernels and structure of multiplication-projection operators "
         "on the circle, with exact rational computation and a numerical oracle.",
     )
+    shared = argparse.ArgumentParser(add_help=False)
+    for name in ("--a", "--b", "--g"):
+        shared.add_argument(name, help="symbol JSON (inline or file path)")
+    shared.add_argument("--f", help="function JSON (inline or file path)")
+    shared.add_argument("--N", type=int, default=0)
+    shared.add_argument("--tol", type=float, help="rank threshold (rank_tol), a positive number")
+    shared.add_argument("--trials", type=int, default=0)
+    shared.add_argument("--seed", type=int, default=0)
+    shared.add_argument("--config")
+    shared.add_argument("--out")
+    shared.add_argument("--human", action="store_true")
+    shared.add_argument("--quiet", action="store_true")
+    typed = argparse.ArgumentParser(add_help=False, parents=[shared])
+    typed.add_argument("--type", choices=["paired", "transposed", "toeplitz", "hankel"], default="paired")
+
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, with_type=True):
-        p.add_argument("--a", help="symbol JSON (inline or file path)")
-        p.add_argument("--b", help="symbol JSON (inline or file path)")
-        p.add_argument("--g", help="symbol JSON (inline or file path)")
-        p.add_argument("--f", help="function JSON (inline or file path)")
-        if with_type:
-            p.add_argument(
-                "--type",
-                choices=["paired", "transposed", "toeplitz", "hankel"],
-                default="paired",
-            )
-        p.add_argument("--N", type=int, default=0)
-        # None: the config file's rank_tol, else tolerances.RANK_TOL
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--trials", type=int, default=0)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--config")
-        p.add_argument("--out")
-        p.add_argument("--human", action="store_true")
-        p.add_argument("--quiet", action="store_true")
-
-    p_kernel = sub.add_parser("kernel", help="exact kernel basis with certificates")
-    common(p_kernel)
-    p_apply = sub.add_parser("apply", help="apply an operator exactly to a function")
-    common(p_apply)
-    p_factor = sub.add_parser("factor", help="Wiener-Hopf or inner-outer factorization")
-    common(p_factor)
+    sub.add_parser("kernel", parents=[typed], help="exact kernel basis with certificates")
+    sub.add_parser("apply", parents=[typed], help="apply an operator exactly to a function")
+    p_factor = sub.add_parser("factor", parents=[typed], help="Wiener-Hopf or inner-outer factorization")
     p_factor.add_argument("--wh", action="store_true")
     p_factor.add_argument("--side", choices=["plus", "minus"], default="plus")
-    p_norm = sub.add_parser("norm", help="truncation norm lower bound")
-    common(p_norm)
-    p_comm = sub.add_parser("commutator", help="commutator with a multiplier: rank and action")
-    common(p_comm)
-    p_verify = sub.add_parser("verify", help="run the property suite")
-    common(p_verify, with_type=False)
+    sub.add_parser("norm", parents=[typed], help="truncation norm lower bound")
+    sub.add_parser("commutator", parents=[typed], help="commutator with a multiplier: rank and action")
+    p_verify = sub.add_parser("verify", parents=[shared], help="run the property suite")
     p_verify.add_argument("--all", action="store_true")
     p_verify.add_argument("--property", choices=registered_ids())
-    p_report = sub.add_parser("report", help="re-render a stored report")
-    common(p_report, with_type=False)
+    sub.add_parser("report", parents=[shared], help="re-render a stored report")
     return parser
 
 
@@ -323,8 +300,14 @@ def main(argv=None):
         cfg_path = args.config or os.environ.get(CONFIG_ENV)
         if args.config is not None or (cfg_path and os.path.exists(cfg_path)):
             cfg = load_config(cfg_path)
-        knobs = {k: v for k, v in cfg.items() if k in ("eps_eq", "eps_circle", "eps_cluster", "rank_tol")}
-        with tol.configured(**knobs):
+        knobs = {k: v for k, v in cfg.items() if k in tol.SETTABLE}
+        if args.tol is not None:
+            knobs["rank_tol"] = args.tol  # the flag wins over the file
+        with contextlib.ExitStack() as stack:
+            try:
+                stack.enter_context(tol.configured(**knobs))
+            except ValueError as exc:
+                raise MalformedConfig(f"--tol: {exc}") from exc
             return _COMMANDS[args.command](args, cfg)
     except MalformedConfig as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -61,10 +61,6 @@ class NotInKernel(PairedKError):
     pass
 
 
-class NotInHardySpaces(PairedKError):
-    pass
-
-
 class PartitionOfUnityFails(PairedKError):
     """Supplied a', b' do not satisfy a*a' + b*b' = 1."""
 

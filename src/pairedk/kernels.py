@@ -28,9 +28,9 @@ from . import tolerances as tol
 from .errors import (
     DegenerateInput,
     DegenerateSymbol,
+    NotInHardySpace,
     NotInKernel,
     NotInner,
-    NotInHardySpaces,
     OracleIndeterminate,
     PartitionOfUnityFails,
     PoleOnCircle,
@@ -38,7 +38,7 @@ from .errors import (
     TrivialKernel,
 )
 from .factorization import blaschke, inner_outer, wiener_hopf, winding_index
-from .operators import bandwidth, build, truncate
+from .operators import bandwidth, build, numerical_rank, truncate
 from .rational import RationalSymbol, SpaceTag, decay_window
 from .roots import LOC_IN, LOC_OUT, Root
 
@@ -93,12 +93,6 @@ class KernelBasis:
     @property
     def is_empty(self) -> bool:
         return self.status == STATUS_EMPTY
-
-    def totals(self) -> List[RationalSymbol]:
-        out = []
-        for e in self.elements:
-            out.append(e.total if isinstance(e, PairedElement) else e)
-        return out
 
     def to_json(self):
         basis = []
@@ -341,7 +335,7 @@ def symbols_from_function(phi_plus: RationalSymbol, phi_minus: RationalSymbol) -
     if phi_plus.is_zero or phi_minus.is_zero:
         raise DegenerateInput("a kernel element has both halves nonzero")
     if not phi_plus.membership(H2P) or not phi_minus.membership(H2M):
-        raise NotInHardySpaces("inputs must lie in their Hardy spaces")
+        raise NotInHardySpace("inputs must lie in their Hardy spaces")
     io_p = inner_outer(phi_plus, "plus")
     io_m = inner_outer(phi_minus, "minus")
     clear_roots = tuple(io_p.outer.circle_zeros()) + tuple(io_m.outer.circle_zeros())
@@ -491,8 +485,6 @@ def coeff_matrix(elems: Sequence[RationalSymbol], half_width: Optional[int] = No
 
 
 def span_rank(elems: Sequence[RationalSymbol], rank_tol: Optional[float] = None) -> int:
-    from .operators import numerical_rank
-
     M = coeff_matrix(elems)
     if M.shape[0] == 0:
         return 0
@@ -520,8 +512,6 @@ def span_defect(
     K = decay_window(basis + images)
     M0 = coeff_matrix(basis, K)
     M1 = coeff_matrix(basis + images, K)
-    from .operators import numerical_rank
-
     r0 = numerical_rank(M0, rank_tol) if len(basis) else None
     r1 = numerical_rank(M1, rank_tol)
     if (r0 is not None and r0.indeterminate) or r1.indeterminate:

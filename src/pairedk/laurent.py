@@ -66,10 +66,6 @@ class LaurentPoly:
         return cls({0: 1.0})
 
     @classmethod
-    def monomial(cls, k: int, c: complex = 1.0) -> "LaurentPoly":
-        return cls({k: c})
-
-    @classmethod
     def from_roots(cls, roots: Iterable[complex], lead: complex = 1.0) -> "LaurentPoly":
         """Expand lead * prod (z - r) over the given roots (with repeats)."""
         arr = np.array([lead], dtype=complex)

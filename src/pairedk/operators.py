@@ -322,16 +322,6 @@ def build(node):
     return norm
 
 
-def nondegenerate(node) -> bool:
-    """Standing assumption for a paired/transposed node: a, b nonzero and
-    either a == b or a - b nonzero a.e. (automatic for rational data)."""
-    if not isinstance(node, (Paired, Transposed)):
-        raise TypeError("nondegeneracy applies to paired/transposed nodes")
-    if node.a.is_zero or node.b.is_zero:
-        return False
-    return not node.a.equals(node.b)
-
-
 # ----------------------------------------------------------------------
 # exact application
 

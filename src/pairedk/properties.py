@@ -9,11 +9,12 @@ master seed, and the canonical JSON payload excludes wall time.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -77,17 +78,16 @@ GENERIC = SamplerProfile(degree_bound=3, inside_annulus=(0.2, 0.7), outside_annu
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The shape of a run: the kernel oracle's window and the worker count.
+    Tolerances are not part of it: they are read from ``tolerances``, set
+    with ``tolerances.configured``."""
+
     oracle_N: int = 64
-    norm_N: int = 128
-    rank_tol: float = 1e-10
     parallelism: int = 1
 
-    @classmethod
-    def from_dict(cls, data: Optional[dict]) -> "RunConfig":
-        if not data:
-            return cls()
-        kw = {k: v for k, v in data.items() if k in {"oracle_N", "norm_N", "rank_tol", "parallelism"}}
-        return cls(**kw)
+
+# Truncation window of P_NORM's operator-norm lower bound.
+NORM_N = 128
 
 
 @dataclass
@@ -200,7 +200,7 @@ def _p_norm(rng, cfg):
     sup_a, sup_b = _sup(a), _sup(b)
     m = max(sup_a, sup_b)
     upper = min(sup_a + sup_b, math.sqrt(2.0) * m)
-    norm = operator_norm(Paired(a, b), cfg.norm_N)
+    norm = operator_norm(Paired(a, b), NORM_N)
     ok = (m - 1e-9 <= norm <= upper + 1e-9)
     return ok, {"norm": norm, "m": m, "upper": upper}
 
@@ -490,7 +490,7 @@ def _p_jmap(rng, cfg):
 
 
 def _p_rank1(rng, cfg):
-    # degree-2 symbols keep the assembly noise two orders below the pinned
+    # degree-2 symbols keep the assembly noise two orders below the default
     # 1e-10 rank threshold; the rank-one statement itself is unchanged
     p = _nonzero_pair(rng, SMOOTH.tighter(degree_bound=2))
     mz = Mult(R.monomial(1))
@@ -500,14 +500,14 @@ def _p_rank1(rng, cfg):
         ("transposed", Commutator(Transposed(p.a, p.b), mz)),
     ):
         d = bandwidth(node)
-        res = numerical_rank(truncate(node, max(16, 2 * d)), cfg.rank_tol)
+        res = numerical_rank(truncate(node, max(16, 2 * d)))
         results[name] = res.rank
         if res.rank != 1 or res.indeterminate:
             return False, {"reason": f"{name} commutator rank != 1", "rank": res.rank}
     # degenerate case: equal symbols commute with multiplication
     e = sample_symbol(GENERIC, rng)
     node0 = Commutator(Paired(e, e), mz)
-    res0 = numerical_rank(truncate(node0, max(16, 2 * bandwidth(node0))), cfg.rank_tol)
+    res0 = numerical_rank(truncate(node0, max(16, 2 * bandwidth(node0))))
     if res0.rank != 0:
         return False, {"reason": "multiplication commutator is not zero", "rank": res0.rank}
     # evaluation formulas for the rank-one action (floor-scaled: the exact
@@ -724,7 +724,7 @@ def _p_nontriv_sig(rng, cfg):
     res2 = nontrivial_Sigma(pair2)
     if (res2.status is True) != (dim2 > 0):
         return False, {"reason": "circle-zero nontriviality mismatch"}
-    oracle = kernel_oracle(Transposed(pair2.a, pair2.b), cfg.oracle_N, cfg.rank_tol)
+    oracle = kernel_oracle(Transposed(pair2.a, pair2.b), cfg.oracle_N)
     if oracle.dim_estimate != dim2:
         return False, {"reason": "oracle disagrees", "oracle": oracle.dim_estimate, "want": dim2}
     return True, {}
@@ -939,14 +939,15 @@ def registered_ids() -> List[str]:
     return [p.pid for p in _REG]
 
 
-def _run_single(pid: str, master_seed: int, index: int, cfg: RunConfig):
-    rng = trial_rng(master_seed, index)
-    prop = PROPERTIES[pid]
-    try:
-        ok, detail = prop.fn(rng, cfg)
-    except Exception as exc:  # a crash is a failure with a reproducible seed
-        return False, {"error": f"{type(exc).__name__}: {exc}"}
-    return ok, detail
+def _run_single(pid: str, master_seed: int, cfg: RunConfig, tolerances: dict, index: int):
+    # tolerances are passed, not inherited: spawned workers start from the
+    # module defaults
+    with tol.configured(**tolerances):
+        rng = trial_rng(master_seed, index)
+        try:
+            return PROPERTIES[pid].fn(rng, cfg)
+        except Exception as exc:  # a crash is a failure with a reproducible seed
+            return False, {"error": f"{type(exc).__name__}: {exc}"}
 
 
 def run_property(
@@ -955,34 +956,29 @@ def run_property(
     master_seed: int = 0,
     config: Optional[RunConfig] = None,
 ) -> PropertyReport:
+    """Run ``trials`` seeded trials of one property, in worker processes
+    when ``config.parallelism > 1``, under the tolerances active at the call."""
     if property_id not in PROPERTIES:
         raise UnknownProperty(property_id)
     prop = PROPERTIES[property_id]
     cfg = config or RunConfig()
     n = prop.default_trials if trials is None else int(trials)
+    tolerances = tol.current()
+    trial = functools.partial(_run_single, property_id, master_seed, cfg, tolerances)
     t0 = time.perf_counter()
-    results: List[Tuple[int, bool, dict]] = []
     if cfg.parallelism > 1:
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import ProcessPoolExecutor  # on first use: it loads multiprocessing
 
         with ProcessPoolExecutor(max_workers=cfg.parallelism) as ex:
-            futs = {
-                ex.submit(_run_single, property_id, master_seed, i, cfg): i for i in range(n)
-            }
-            for fut, i in futs.items():
-                ok, detail = fut.result()
-                results.append((i, ok, detail))
-        results.sort(key=lambda t: t[0])
+            results = list(ex.map(trial, range(n)))
     else:
-        for i in range(n):
-            ok, detail = _run_single(property_id, master_seed, i, cfg)
-            results.append((i, ok, detail))
+        results = list(map(trial, range(n)))
     failures = [
         {"seed": [master_seed, i], "inputs": detail.get("inputs", []), "detail": detail}
-        for i, ok, detail in results
+        for i, (ok, detail) in enumerate(results)
         if not ok
     ]
-    passes = sum(1 for _, ok, _ in results if ok)
+    passes = sum(1 for ok, _ in results if ok)
     wall = time.perf_counter() - t0
     return PropertyReport(
         property_id=property_id,
@@ -991,8 +987,8 @@ def run_property(
         passes=passes,
         failures=failures,
         tolerances={
-            "eps_eq": tol.EPS_EQ,
-            "rank_tol": cfg.rank_tol,
+            "eps_eq": tolerances["eps_eq"],
+            "rank_tol": tolerances["rank_tol"],
             "gap_min": tol.GAP_MIN,
             "oracle_N": cfg.oracle_N,
         },

@@ -1,10 +1,18 @@
-"""Numeric policy knobs.
+"""Numeric policy knobs: the one record of pairedk's numerical settings.
 
 All coefficients are double-precision complex; "exact" equality means a
 relative residual below EPS_EQ.  The constants below are module-level and
-library code reads them through the module at call time; ``configured``
-overrides them for the length of a ``with`` block (the CLI applies its
-config file this way, one command at a time).
+library code reads them through the module at call time.
+
+The four keys of ``SETTABLE`` are set only through ``configured``, which
+overrides them for the length of a ``with`` block and restores them when it
+exits; every value must be a positive number.  Library callers write
+``with tolerances.configured(rank_tol=1e-8): ...``.  The CLI opens one such
+block per command, from its ``--tol`` flag (``rank_tol``) and its config file;
+the flag wins over the file, and the file over the defaults below.
+``properties.run_property`` records the active values and re-opens the block
+around every trial, so worker processes compute with the values the report
+records under every process start method (fork, spawn, forkserver).
 """
 
 import contextlib
@@ -34,7 +42,8 @@ RANK_TOL = 1e-10
 # Minimal spectral gap ratio for a rank/kernel answer to count as certified.
 GAP_MIN = 1e3
 
-_CONFIGURABLE = {
+# Settable key -> the constant it overrides.
+SETTABLE = {
     "eps_eq": "EPS_EQ",
     "eps_circle": "EPS_CIRCLE",
     "eps_cluster": "EPS_CLUSTER",
@@ -42,23 +51,25 @@ _CONFIGURABLE = {
 }
 
 
-def configure(**kwargs):
-    """Override tolerance constants process-wide, until changed again."""
-    for key, value in kwargs.items():
-        if key not in _CONFIGURABLE:
-            raise KeyError(key)
-        if not (isinstance(value, (int, float)) and value > 0):
-            raise ValueError(f"{key} must be a positive number")
-        globals()[_CONFIGURABLE[key]] = float(value)
+def current() -> dict:
+    """The active value of every settable key."""
+    return {key: globals()[name] for key, name in SETTABLE.items()}
 
 
 @contextlib.contextmanager
-def configured(**kwargs):
-    """Override tolerance constants inside a with-block; the previous values
-    come back when it exits."""
-    saved = {name: globals()[name] for name in _CONFIGURABLE.values()}
+def configured(**overrides):
+    """Override settable constants inside a with-block; the previous values
+    come back when it exits.  An unknown key raises KeyError and a value
+    that is not a positive number raises ValueError, before anything
+    changes."""
+    for key, value in overrides.items():
+        if key not in SETTABLE:
+            raise KeyError(key)
+        if not (isinstance(value, (int, float)) and value > 0):
+            raise ValueError(f"{key} must be a positive number")
+    saved = current()
     try:
-        configure(**kwargs)
+        globals().update({SETTABLE[key]: float(value) for key, value in overrides.items()})
         yield
     finally:
-        globals().update(saved)
+        globals().update({SETTABLE[key]: value for key, value in saved.items()})

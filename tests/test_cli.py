@@ -121,6 +121,31 @@ def test_verify_requires_target(capsys):
     assert main(["verify"]) == 2
 
 
+@pytest.mark.parametrize("value", ["-1", "0"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["commutator", "--type", "paired", "--a", A_JSON, "--b", B_JSON, "--g", '{"coeffs":{"1":[1,0]}}'],
+        ["kernel", "--type", "paired", "--a", A_JSON, "--b", B_JSON, "--N", "16"],
+    ],
+    ids=["commutator", "kernel"],
+)
+def test_nonpositive_tol_is_usage_error(capsys, argv, value):
+    assert main(argv + ["--tol", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "rank_tol must be a positive number" in captured.err
+
+
+def test_human_lines_agree_between_verify_and_report(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--property", "P_ZERO", "--human", "--out", str(out), "--quiet"]) == 0
+    verify_err = capsys.readouterr().err
+    assert main(["report", "--f", str(out), "--human"]) == 0
+    report_err = capsys.readouterr().err
+    assert verify_err.splitlines() == ["# P_ZERO: 1/1 pass", "# all properties passed"]
+    assert report_err == verify_err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["kernel", "--type", "bogus"])

@@ -27,6 +27,7 @@ from pairedk import (
 )
 from pairedk.errors import (
     DegenerateInput,
+    NotInHardySpace,
     DegenerateSymbol,
     NotInKernel,
     NotInner,
@@ -265,6 +266,11 @@ def test_symbols_from_function_basic():
 def test_symbols_from_function_degenerate_half():
     with pytest.raises(DegenerateInput):
         symbols_from_function(R.monomial(1), R.zero())
+
+
+def test_symbols_from_function_rejects_halves_outside_hardy_spaces():
+    with pytest.raises(NotInHardySpace):
+        symbols_from_function(R.monomial(-1), R.monomial(-1))
 
 
 def test_symbols_from_function_generic():

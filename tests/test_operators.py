@@ -17,6 +17,7 @@ from pairedk import (
     RationalSymbol,
     Scale,
     Sum,
+    SymbolPair,
     Toeplitz,
     Transposed,
     adjoint_residual,
@@ -25,7 +26,6 @@ from pairedk import (
     ast_to_json,
     bandwidth,
     build,
-    nondegenerate,
     numerical_rank,
     operator_norm,
     truncate,
@@ -50,7 +50,7 @@ B_CZ = C({0: 1, 1: 1})  # z + 1
 
 def test_build_validates_and_flags():
     node = build(Paired(A_CZ, B_CZ))
-    assert nondegenerate(node)
+    assert SymbolPair(node.a, node.b).nondegenerate
 
 
 def test_build_rejects_circle_pole_symbol():

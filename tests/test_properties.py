@@ -1,4 +1,7 @@
+import concurrent.futures
+import functools
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from pairedk import (
     sample_symbol,
     trial_rng,
 )
+from pairedk import tolerances as tol
 from pairedk.errors import UnknownProperty
 from pairedk.properties import PROPERTIES
 
@@ -107,6 +111,25 @@ def test_parallel_runner_matches_sequential():
     seq = run_property("P_COBURN_S", 12, 13, RunConfig(parallelism=1))
     par = run_property("P_COBURN_S", 12, 13, RunConfig(parallelism=2))
     assert seq.canonical_payload() == par.canonical_payload()
+
+
+def test_spawned_workers_use_the_active_tolerances(monkeypatch):
+    # spawned workers import pairedk afresh, so they see the module
+    # defaults unless the runner hands them the caller's tolerances
+    spawn = functools.partial(concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spawn)
+    default = run_property("P_SCALE", 4, 3)
+    with tol.configured(eps_eq=1e-15):
+        seq = run_property("P_SCALE", 4, 3, RunConfig(parallelism=1))
+        par = run_property("P_SCALE", 4, 3, RunConfig(parallelism=2))
+    assert seq.canonical_payload() == par.canonical_payload()
+    assert seq.failures != default.failures  # the tighter eps_eq changes verdicts
+
+
+def test_report_records_the_rank_threshold_it_used():
+    with tol.configured(rank_tol=1e-3):
+        rep = run_property("P_RANK1", 1, 0)
+    assert rep.tolerances["rank_tol"] == 1e-3
 
 
 # ---------------------------------------------------------------- hypothesis
