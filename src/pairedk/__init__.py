@@ -55,7 +55,7 @@ from .kernels import (
     toeplitz_kernel,
     transposed_kernel,
 )
-from .laurent import LaurentPoly, lp_arith
+from .laurent import LaurentPoly
 from .operators import (
     Adjoint,
     Commutator,

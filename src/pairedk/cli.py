@@ -23,6 +23,7 @@ from .kernels import (
     member_Sigma,
     nontrivial_S,
     nontrivial_Sigma,
+    oracle_min_window,
     paired_kernel,
     toeplitz_kernel,
     transposed_kernel,
@@ -117,6 +118,13 @@ def _human_summary(payload):
         print(f"# {verdict}", file=sys.stderr)
 
 
+def _window(n: int, least: int) -> int:
+    """The --N window, refused as a usage error below ``least``."""
+    if n < least:
+        raise MalformedConfig(f"--N {n} is below the smallest window {least} for this operator")
+    return n
+
+
 def _build_operator(args):
     kind = args.type
     if kind == "paired":
@@ -154,7 +162,8 @@ def _cmd_kernel(args, cfg):
         payload["nontrivial"] = res.status if isinstance(res.status, str) else bool(res.status)
         payload["witness_checks"] = checks
     if args.N:
-        payload["oracle"] = kernel_oracle(_build_operator(args), args.N).to_json()
+        node = _build_operator(args)
+        payload["oracle"] = kernel_oracle(node, _window(args.N, oracle_min_window(node))).to_json()
     _emit(args, payload)
     if args.human:
         _human_summary(payload)
@@ -189,7 +198,7 @@ def _cmd_factor(args, cfg):
 
 def _cmd_norm(args, cfg):
     node = _build_operator(args)
-    n = args.N or cfg.get("oracle_N", RunConfig.oracle_N)
+    n = _window(args.N or cfg.get("oracle_N", RunConfig.oracle_N), max(bandwidth(node), 1))
     value = operator_norm(node, n)
     _emit(args, {"norm_lower_bound": value, "N": n})
     return 0
@@ -201,7 +210,7 @@ def _cmd_commutator(args, cfg):
     if eta is None:
         raise MalformedConfig("commutator needs --g as the multiplier symbol")
     node = Commutator(base, Mult(eta))
-    n = args.N or max(16, 2 * bandwidth(node))
+    n = _window(args.N or max(16, 2 * bandwidth(node)), max(bandwidth(node), 1))
     res = numerical_rank(truncate(node, n))
     payload = {
         "rank": res.rank,

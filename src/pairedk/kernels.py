@@ -574,17 +574,22 @@ def _oracle_once(node, N: int, rank_tol: float):
     return dim, gap, cands, kept, smax
 
 
+def oracle_min_window(node) -> int:
+    """The smallest window ``kernel_oracle`` accepts: twice the bandwidth."""
+    return 2 * max(bandwidth(node), 1)
+
+
 def kernel_oracle(node, N: int, rank_tol: Optional[float] = None) -> OracleResult:
     """SVD-based kernel dimension estimate with an edge buffer and a
     stability cross-check at half the window size."""
     node = build(node)
-    d = bandwidth(node)
-    if N < 2 * max(d, 1):
+    least = oracle_min_window(node)
+    if N < least:
         raise ValueError("oracle window must be at least twice the bandwidth")
     rank_tol = tol.RANK_TOL if rank_tol is None else rank_tol
     dim, gap, cands, kept, smax = _oracle_once(node, N, rank_tol)
     stable = None
-    if N // 2 >= 2 * max(d, 1):
+    if N // 2 >= least:
         dim_half, _, _, _, _ = _oracle_once(node, N // 2, rank_tol)
         stable = dim_half == dim
     result = OracleResult(dim, gap, cands, kept, stable, smax)

@@ -7,6 +7,7 @@ identity; all arithmetic returns fresh objects.
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Dict, Iterable, Mapping, Tuple
 
@@ -19,37 +20,34 @@ MAX_DEGREE = 64
 _SPAN_LIMIT = 4096  # runaway-product guard, far above anything legitimate
 
 
-def _check_finite(v: complex) -> complex:
-    if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-        raise ValueError("non-finite coefficient")
-    return v
-
-
 class LaurentPoly:
     """Finite Laurent polynomial stored as {exponent: coefficient}.
 
     Coefficients of modulus <= EPS_DROP * scale are pruned, where scale is
     the largest coefficient magnitude (or an explicit, larger reference
     supplied by cancellation-aware callers).  The zero polynomial is the one
-    with an empty map.
+    with an empty map.  The largest kept magnitude is recorded once, as
+    ``norm_inf()``.
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ("_c", "_norm")
 
     def __init__(self, coeffs: Mapping[int, complex] | None = None, *, scale: float = 0.0):
         c: Dict[int, complex] = {}
+        cmax = 0.0
         if coeffs:
-            cmax = 0.0
-            for v in coeffs.values():
-                av = abs(v)
-                if av > cmax:
-                    cmax = av
+            mods = [abs(v) for v in coeffs.values()]
+            cmax = max(mods)
+            # NaN and inf make the sum non-finite; so can finite moduli whose
+            # sum overflows, which only the per-coefficient check tells apart
+            if not math.isfinite(sum(mods)) and not all(map(cmath.isfinite, coeffs.values())):
+                raise ValueError("non-finite coefficient")
             thr = tol.EPS_DROP * max(cmax, scale)
-            for k, v in coeffs.items():
-                v = _check_finite(complex(v))
-                if v != 0 and abs(v) > thr:
-                    c[int(k)] = v
+            for (k, v), av in zip(coeffs.items(), mods):
+                if av > thr:
+                    c[int(k)] = complex(v)
         self._c = c
+        self._norm = float(cmax) if c else 0.0
         if c:
             span = max(c) - min(c)
             if span > _SPAN_LIMIT:
@@ -71,7 +69,7 @@ class LaurentPoly:
         arr = np.array([lead], dtype=complex)
         for r in sorted(roots, key=lambda w: (w.real, w.imag)):
             arr = np.convolve(arr, np.array([-r, 1.0], dtype=complex))
-        return cls({k: v for k, v in enumerate(arr)})
+        return cls(dict(enumerate(arr.tolist())))
 
     # -- basic queries ------------------------------------------------
 
@@ -101,7 +99,7 @@ class LaurentPoly:
         return sorted(self._c)
 
     def norm_inf(self) -> float:
-        return max((abs(v) for v in self._c.values()), default=0.0)
+        return self._norm
 
     # -- arithmetic ---------------------------------------------------
 
@@ -175,7 +173,7 @@ class LaurentPoly:
 
     @classmethod
     def from_array(cls, lo: int, arr: np.ndarray) -> "LaurentPoly":
-        return cls({lo + i: v for i, v in enumerate(arr)})
+        return cls(dict(enumerate(np.asarray(arr, dtype=complex).tolist(), lo)))
 
     def allclose(self, other: "LaurentPoly", rel: float | None = None) -> bool:
         rel = tol.EPS_EQ if rel is None else rel
@@ -204,15 +202,3 @@ class LaurentPoly:
                 parts.append(f"({v:.4g})z^{k}")
         return "LaurentPoly(" + " + ".join(parts) + ")"
 
-
-def lp_arith(op: str, f: LaurentPoly, g) -> LaurentPoly:
-    """Dispatch helper: op in {add, sub, mul, scale}."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    if op == "scale":
-        return f.scale(g)
-    raise ValueError(f"unknown op {op!r}")

@@ -5,12 +5,23 @@ with all listed zeros and poles nonzero (powers of z live in ``zpow``).  The
 factored form is authoritative; coefficient caches, partial fractions, Fourier
 coefficients and Riesz projections are derived from it.  Every value is
 immutable after construction and every operation is a pure function.
+
+Zeros are derived lazily.  ``from_fraction`` keeps its deflated numerator
+and a product keeps its two factors' zeros; the zeros are located (by
+``poly_roots``) and merged on first read, with the same calls and the same
+tolerances as at construction, so they come out as an eager computation
+would give them.  Poles are always located.  Fourier windows and Riesz
+projections never read zeros.  The product's proximity gate (a zero within
+1e-6 of a pole triggers the pole-cancellation value test) is decided by a
+distance bound first: where Fujiwara's bound on the Taylor-shifted numerator
+keeps every zero far from every pole, no zero is located.
 """
 
 from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -18,7 +29,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import PoleOnCircle, ZeroDenominator
-from .laurent import LaurentPoly
+from .laurent import MAX_DEGREE, LaurentPoly
 from .roots import LOC_IN, LOC_ON, LOC_OUT, Root, classify, poly_roots
 
 _GOLDEN_FRAC = 0.3819660112501051
@@ -101,22 +112,132 @@ def _deficit(union: Sequence[Root], have: Sequence[Root]) -> List[complex]:
     return vals
 
 
-class RationalSymbol:
-    __slots__ = ("gain", "zpow", "zeros", "poles", "_num", "_den", "_invden")
+# The product's proximity gate: a zero within _GATE * max(1, |p|) of a pole p
+# sends the product through the pole-cancellation value test.  A distance
+# bound above _CLEAR * max(1, |p|) rules that out without locating zeros;
+# the factor 100 between them absorbs the rounding of located roots.
+_GATE = 1e-6
+_CLEAR = 1e-4
+# Rounding of a Taylor coefficient, per term summed, relative to the sum of
+# the moduli of its terms.
+_ROUND = 16 * np.finfo(float).eps
 
-    def __init__(self, gain: complex, zpow: int, zeros: Iterable[Root], poles: Iterable[Root]):
+
+def _near(zeros: Iterable[Root], pvals: Sequence[complex]) -> bool:
+    """The proximity gate on located zeros."""
+    return any(abs(z.value - p) <= _GATE * max(1.0, abs(p)) for z in zeros for p in pvals)
+
+
+@functools.cache
+def _binomials() -> np.ndarray:
+    """C(j, k) at [j, k] for j, k <= MAX_DEGREE, built on first use; a
+    polynomial with m coefficients uses the leading m x m block."""
+    out = np.zeros((MAX_DEGREE + 1, MAX_DEGREE + 1))
+    for j in range(MAX_DEGREE + 1):
+        for k in range(j + 1):
+            out[j, k] = math.comb(j, k)
+    return out
+
+
+def _bound_clears(arr: np.ndarray, pvals: Sequence[complex]) -> bool:
+    """Whether every zero of the polynomial with ascending coefficients arr
+    provably lies farther than _CLEAR * max(1, |p|) from each pole value p.
+
+    The Taylor shift c_k = q^(k)(p)/k! = p^-k sum_j C(j, k) a_j p^j turns
+    the zeros of q into the roots h of sum c_k h^k.  Fujiwara's bound on the
+    reversed polynomial (Tohoku Math. J. 10, 1916) gives
+    |1/h| <= 2 max_k |c_k/c_0|^(1/k).  Each c_k is widened by its rounding
+    bound first; a c_0 that rounding cannot tell from zero proves nothing."""
+    m = len(arr)
+    if m < 2:
+        return True
+    p = np.asarray(pvals, dtype=complex)
+    binom = _binomials()[:m, :m]
+    with np.errstate(all="ignore"):  # overflow turns into NaN, and NaN into False below
+        powers = p[:, None] ** np.arange(m)  # [pole, j]
+        terms = powers * arr
+        c = np.abs(terms @ binom) / np.abs(powers)  # [pole, k]
+        err = _ROUND * m * (np.abs(terms) @ binom) / np.abs(powers)
+        c0 = c[:, 0] - err[:, 0]
+        growth = ((c[:, 1:] + err[:, 1:]) / c0[:, None]) ** (1.0 / np.arange(1, m))
+        return bool(np.all((c0 > 0) & (2.0 * growth.max(axis=1) * _CLEAR * np.maximum(1.0, np.abs(p)) < 1.0)))
+
+
+class _LazyZeros:
+    """Zeros not located yet: the roots of one numerator (``arr``, ascending
+    coefficients, located under the tolerances ``tols`` in force when it was
+    stored) or the merged zeros of a product's two factors (``parts``, each
+    a tuple of roots or another _LazyZeros).  ``resolve`` locates them once;
+    the result is what the eager computation gives.  Plain slots, so it
+    pickles."""
+
+    __slots__ = ("arr", "tols", "parts", "roots")
+
+    def __init__(self, arr: Optional[np.ndarray] = None, parts: Optional[tuple] = None):
+        self.arr = arr
+        self.tols = (tol.EPS_CIRCLE, tol.EPS_CLUSTER) if parts is None else None
+        self.parts = parts
+        self.roots: Optional[Tuple[Root, ...]] = None
+
+    def resolve(self) -> Tuple[Root, ...]:
+        if self.roots is None:
+            if self.parts is None:
+                eps_circle, eps_cluster = self.tols
+                with tol.configured(eps_circle=eps_circle, eps_cluster=eps_cluster):
+                    found = poly_roots(LaurentPoly.from_array(0, self.arr)).roots if len(self.arr) > 1 else ()
+                self.arr = None
+            else:
+                a, b = (z.resolve() if isinstance(z, _LazyZeros) else z for z in self.parts)
+                found = _combine_repeats(list(a) + list(b))
+            self.roots = _sorted_roots(found)
+        return self.roots
+
+    def clear_of(self, pvals: Sequence[complex]) -> bool:
+        """True only if no zero can pass the proximity gate for these poles."""
+        if self.roots is not None:
+            return not _near(self.roots, pvals)
+        if self.parts is None:
+            return _bound_clears(self.arr, pvals)
+        return all(z.clear_of(pvals) if isinstance(z, _LazyZeros) else not _near(z, pvals) for z in self.parts)
+
+
+def _product_zeros(a, b):
+    """Zeros of a product whose factors have zeros a and b (tuples of roots
+    or _LazyZeros), merged as ``_combine_repeats`` merges them."""
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return _combine_repeats(list(a) + list(b))
+    # merging is idempotent on merged zeros: a zero-free factor adds nothing
+    if a == () and b.parts is not None:
+        return b
+    if b == () and a.parts is not None:
+        return a
+    return _LazyZeros(parts=(a, b))
+
+
+def _gate(sym: "RationalSymbol", pvals: Sequence[complex]) -> bool:
+    """The proximity gate for one factor of a product, locating its zeros
+    only where the distance bound cannot rule the gate out."""
+    if isinstance(sym._zeros, _LazyZeros) and sym._zeros.clear_of(pvals):
+        return False
+    return _near(sym.zeros, pvals)
+
+
+class RationalSymbol:
+    __slots__ = ("gain", "zpow", "_zeros", "poles", "_num", "_den", "_invden")
+
+    def __init__(self, gain: complex, zpow: int, zeros, poles: Iterable[Root]):
         gain = complex(gain)
         if not (math.isfinite(gain.real) and math.isfinite(gain.imag)):
             raise ValueError("non-finite gain")
         if gain == 0:
             self.gain = 0.0 + 0.0j
             self.zpow = 0
-            self.zeros = ()
+            self._zeros = ()
             self.poles = ()
         else:
             self.gain = gain
             self.zpow = int(zpow)
-            self.zeros = _sorted_roots(zeros)
+            self._zeros = zeros if isinstance(zeros, _LazyZeros) else _sorted_roots(zeros)
             self.poles = _sorted_roots(poles)
         self._num = None
         self._den = None
@@ -168,9 +289,11 @@ class RationalSymbol:
             den_roots = poly_roots(den).roots
         d_lead = d_arr[-1]
         p_arr, q_arr, kept_poles, _ = _cancel_poles(n_arr, d_arr, den_roots)
-        num_roots = list(poly_roots(LaurentPoly.from_array(0, p_arr)).roots) if len(p_arr) > 1 else []
+        zeros = _LazyZeros(p_arr)
+        if len(p_arr) - 1 > MAX_DEGREE or not np.isfinite(p_arr).all():
+            zeros.resolve()  # raises now, where an eager location would
         gain = p_arr[-1] / d_lead
-        sym = cls(gain, zpow, num_roots, kept_poles)
+        sym = cls(gain, zpow, zeros, kept_poles)
         # exact coefficient caches from the caller's data, deflation included
         sym._num = LaurentPoly.from_array(0, p_arr / d_lead).shift(zpow)
         sym._den = LaurentPoly.from_array(0, q_arr / d_lead)
@@ -178,6 +301,13 @@ class RationalSymbol:
 
     # ------------------------------------------------------------------
     # derived coefficient forms
+
+    @property
+    def zeros(self) -> Tuple[Root, ...]:
+        """Zeros, sorted; located on first read where construction left them lazy."""
+        if isinstance(self._zeros, _LazyZeros):
+            self._zeros = self._zeros.resolve()
+        return self._zeros
 
     @property
     def num(self) -> LaurentPoly:
@@ -246,26 +376,22 @@ class RationalSymbol:
         if isinstance(other, (int, float, complex)):
             if other == 0:
                 return RationalSymbol.zero()
-            out = RationalSymbol(self.gain * other, self.zpow, self.zeros, self.poles)
+            out = RationalSymbol(self.gain * other, self.zpow, self._zeros, self.poles)
             if self._num is not None:
                 out._num = self._num.scale(other)
             out._den = self._den
             return out
         if self.is_zero or other.is_zero:
             return RationalSymbol.zero()
-        zeros = list(self.zeros) + list(other.zeros)
         poles = list(self.poles) + list(other.poles)
         num_prod = self.num * other.num
         den_prod = self.den * other.den
         # only a zero near a pole can cancel (a zero kept next to a pole by an
         # operand was already adjudicated and must not be re-matched by
         # distance); the value test of _cancel_poles decides
-        near = any(
-            abs(z.value - p.value) <= 1e-6 * max(1.0, abs(p.value))
-            for z in zeros
-            for p in poles
-        )
-        if near:
+        pvals = [p.value for p in poles]
+        if _gate(self, pvals) or _gate(other, pvals):
+            zeros = list(self.zeros) + list(other.zeros)
             lo = num_prod.lo
             arr, d_arr, kept_poles, cancelled = _cancel_poles(
                 _asc_from_zero(num_prod.shift(-lo)), _asc_from_zero(den_prod), poles
@@ -279,7 +405,7 @@ class RationalSymbol:
                 for _ in range(z.mult):
                     hit = None
                     for i, v in enumerate(remaining):
-                        if abs(z.value - v) <= 1e-6 * max(1.0, abs(v)):
+                        if abs(z.value - v) <= _GATE * max(1.0, abs(v)):
                             hit = i
                             break
                     if hit is None:
@@ -288,8 +414,10 @@ class RationalSymbol:
                     mult -= 1
                 if mult > 0:
                     kept_zeros.append(Root(z.value, mult, z.loc))
-            zeros, poles = kept_zeros, kept_poles
-        zs = _combine_repeats(zeros)
+            zs = _combine_repeats(kept_zeros)
+            poles = kept_poles
+        else:
+            zs = _product_zeros(self._zeros, other._zeros)
         ps = _combine_repeats(poles)
         out = RationalSymbol(self.gain * other.gain, self.zpow + other.zpow, zs, ps)
         out._num = num_prod
@@ -330,10 +458,7 @@ class RationalSymbol:
         if other.is_zero:
             return self
         union = _merge_union(self.poles, other.poles)
-        ex_self = LaurentPoly.from_roots(_deficit(union, self.poles))
-        ex_other = LaurentPoly.from_roots(_deficit(union, other.poles))
-        a = self.num * ex_self
-        b = other.num * ex_other
+        a, b = (_over_union(s, union) for s in (self, other))
         scale = a.norm_inf() + b.norm_inf()
         csum: Dict[int, complex] = {}
         for k, v in a.items():
@@ -541,52 +666,80 @@ class RationalSymbol:
             return self
         if self.has_circle_pole:
             raise PoleOnCircle("Riesz projection needs a pole-free circle")
-        minus = self._assemble_minus()
-        if side == "minus":
-            return minus
-        return self - minus
+        return self._assemble(side)
 
-    def _assemble_minus(self) -> "RationalSymbol":
-        """P- f = (num*A/D_in - its nonneg window) + negative window of
-        num*B/D_out, using the two-sided inverse-denominator split."""
+    def _assemble(self, side: str) -> "RationalSymbol":
+        """One Riesz projection, over the denominator factor on its side.
+
+        With 1/den = A/D_in + B/D_out, num*A/D_in keeps only a finite window
+        [num*A/D_in]_+ at indices >= 0, and num*B/D_out only a finite window
+        [num*B/D_out]_- at indices < 0.  Hence
+            P- f = (num*A - [num*A/D_in]_+ D_in + [num*B/D_out]_- D_in) / D_in,
+            P+ f = (num*B - [num*B/D_out]_- D_out + [num*A/D_in]_+ D_out) / D_out,
+        and both denominators have their roots located already.  P+ keeps
+        the rules of the subtraction f - P- f it replaces: it is f itself
+        where P- f vanishes, and zero where it is below EPS_EQ of f's
+        numerator."""
+        minus = side == "minus"
         num = self.num
         if not self.poles:
             neg = LaurentPoly({k: v for k, v in num.items() if k < 0})
+            if minus:
+                return RationalSymbol._over(neg, LaurentPoly.one(), [], 0.0)
             if neg.is_zero:
-                return RationalSymbol.zero()
-            return RationalSymbol.from_fraction(neg, LaurentPoly.one(), den_roots=[])
+                return self
+            scale = num.norm_inf() + neg.norm_inf()
+            # 0.0 + v, as in the sum this replaces: no negative zeros
+            pos = LaurentPoly({k: 0.0 + v for k, v in num.items() if k >= 0}, scale=scale)
+            return RationalSymbol._over(pos, LaurentPoly.one(), [], scale)
         a_arr, d_in_arr, b_arr, d_out_arr = self._invden_split()
-        inside_roots = [r for r in self.poles if r.loc == LOC_IN]
-        d_in = LaurentPoly.from_array(0, d_in_arr)
+        own, d_arr, other = (a_arr, d_in_arr, "plus") if minus else (b_arr, d_out_arr, "minus")
+        den = LaurentPoly.from_array(0, d_arr)
         total = LaurentPoly.zero()
-        if len(a_arr):
-            num_i = LaurentPoly.from_array(0, a_arr)
-            prod = num * num_i
+        if len(own):
+            prod = num * LaurentPoly.from_array(0, own)
             total = total + prod
-            if num.hi >= 1:
-                # nonneg window of num*A/D_in: convolution with its stream
-                w_in = self._stream_inside(a_arr, d_in_arr, -num.hi, num.hi - num.lo)
-                plus_window: Dict[int, complex] = {}
-                for t, v in num.items():
-                    for k in range(0, num.hi):
-                        idx = k - t + num.hi
-                        if 0 <= idx < len(w_in):
-                            plus_window[k] = plus_window.get(k, 0.0) + v * w_in[idx]
-                plus_poly = LaurentPoly(plus_window, scale=prod.norm_inf())
-                total = total - plus_poly * d_in
-        if len(b_arr) and num.lo <= -1:
-            w_out = self._stream_outside(b_arr, d_out_arr, 0, -1 - num.lo)
-            neg_window: Dict[int, complex] = {}
-            for t, v in num.items():
-                for k in range(num.lo, 0):
-                    idx = k - t
-                    if 0 <= idx < len(w_out):
-                        neg_window[k] = neg_window.get(k, 0.0) + v * w_out[idx]
-            neg_poly = LaurentPoly(neg_window, scale=num.norm_inf())
-            total = total + neg_poly * d_in
-        if total.is_zero:
+            window = self._window(other, prod.norm_inf())
+            if window is not None:
+                total = total - window * den
+            if not minus and not len(a_arr) and (window is None or window.is_zero):
+                return self
+        window = self._window(side, num.norm_inf())
+        if window is not None:
+            total = total + window * den
+        kept = [r for r in self.poles if (r.loc == LOC_IN) == minus]
+        return RationalSymbol._over(total, den, kept, 0.0 if minus else num.norm_inf())
+
+    @staticmethod
+    def _over(num: LaurentPoly, den: LaurentPoly, den_roots, scale: float) -> "RationalSymbol":
+        """num/den, or zero where num is at most EPS_EQ * scale."""
+        if num.is_zero or num.norm_inf() <= tol.EPS_EQ * scale:
             return RationalSymbol.zero()
-        return RationalSymbol.from_fraction(total, d_in, den_roots=inside_roots)
+        return RationalSymbol.from_fraction(num, den, den_roots=den_roots)
+
+    def _window(self, side: str, scale: float) -> Optional[LaurentPoly]:
+        """[num*A/D_in]_+ (side 'plus', on [0, num.hi)) or [num*B/D_out]_-
+        (side 'minus', on [num.lo, 0)) by convolving num with the stream;
+        None where that window is empty by construction."""
+        num = self.num
+        a_arr, d_in_arr, b_arr, d_out_arr = self._invden_split()
+        if side == "plus":
+            if not (len(a_arr) and num.hi >= 1):
+                return None
+            lo, ks = -num.hi, range(0, num.hi)
+            stream = self._stream_inside(a_arr, d_in_arr, lo, num.hi - num.lo)
+        else:
+            if not (len(b_arr) and num.lo <= -1):
+                return None
+            lo, ks = 0, range(num.lo, 0)
+            stream = self._stream_outside(b_arr, d_out_arr, lo, -1 - num.lo)
+        acc: Dict[int, complex] = {}
+        for t, v in num.items():
+            for k in ks:
+                idx = k - t - lo
+                if 0 <= idx < len(stream):
+                    acc[k] = acc.get(k, 0.0) + v * stream[idx]
+        return LaurentPoly(acc, scale=scale)
 
     @staticmethod
     def _stream_inside(a_arr, d_in_arr, lo: int, hi: int) -> np.ndarray:
@@ -757,6 +910,12 @@ class RationalSymbol:
         zs = ", ".join(f"{r.value:.4g}^{r.mult}{r.loc[0]}" for r in self.zeros)
         ps = ", ".join(f"{r.value:.4g}^{r.mult}{r.loc[0]}" for r in self.poles)
         return f"RationalSymbol(gain={self.gain:.4g}, z^{self.zpow}, zeros=[{zs}], poles=[{ps}])"
+
+
+def _over_union(sym: RationalSymbol, union: Sequence[Root]) -> LaurentPoly:
+    """The numerator of sym over the common denominator of ``union``."""
+    missing = _deficit(union, sym.poles)
+    return sym.num * LaurentPoly.from_roots(missing) if missing else sym.num
 
 
 def _combine_repeats(roots: List[Root]) -> List[Root]:

@@ -235,3 +235,18 @@ def test_config_rank_tol_is_used_and_restored(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert seen == [(cmd, t) for cmd in ("kernel", "commutator") for t in (1e-8, 1e-10, 1e-9)]
     assert tol.RANK_TOL == 1e-10
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel", "--type", "paired", "--a", A_JSON, "--b", B_JSON, "--N", "1"],
+        ["norm", "--type", "paired", "--a", A_JSON, "--b", B_JSON, "--N", "-5"],
+    ],
+    ids=["kernel-N1", "norm-N-5"],
+)
+def test_window_below_minimum_is_usage_error(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: --N")

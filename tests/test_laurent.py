@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pairedk import LaurentPoly, lp_arith
+from pairedk import LaurentPoly
 from pairedk.errors import DegreeOverflow
 
 
@@ -12,14 +12,14 @@ def LP(d):
 def test_mul_index_shift():
     f = LP({0: 1, -1: 1})  # 1 + 1/z
     g = LP({1: 1})  # z
-    out = lp_arith("mul", f, g)
+    out = f * g
     assert dict(out.items()) == {1: 1, 0: 1}
 
 
 def test_add_cancellation_gives_empty_map():
     f = LP({2: 1})
     g = LP({2: -1})
-    out = lp_arith("add", f, g)
+    out = f + g
     assert out.is_zero
     assert dict(out.items()) == {}
 
@@ -34,8 +34,8 @@ def test_mul_difference_of_squares():
 
 def test_scale_and_sub():
     f = LP({0: 2, 3: -1})
-    assert dict(lp_arith("scale", f, 0.5).items()) == {0: 1, 3: -0.5}
-    assert lp_arith("sub", f, f).is_zero
+    assert dict(f.scale(0.5).items()) == {0: 1, 3: -0.5}
+    assert (f - f).is_zero
 
 
 def test_support_bounds_and_norms():
@@ -71,3 +71,26 @@ def test_prune_relative_to_scale():
 def test_runaway_span_guard():
     with pytest.raises(DegreeOverflow):
         LaurentPoly({0: 1, 5000: 1})
+
+
+@pytest.mark.parametrize(
+    "bad", [float("nan"), float("inf"), complex(1.0, float("-inf")), complex(float("nan"), 0.0), np.inf]
+)
+def test_non_finite_coefficients_raise(bad):
+    with pytest.raises(ValueError):
+        LaurentPoly({0: 1.0, 2: bad})
+
+
+def test_finite_coefficients_whose_moduli_overflow_a_sum_are_accepted():
+    f = LaurentPoly({0: 1e308, 1: 1e308})
+    assert dict(f.items()) == {0: 1e308, 1: 1e308}
+    assert f.norm_inf() == 1e308
+    g = LaurentPoly({0: complex(1e308, 1e308), -3: -1e308})
+    assert g.lo == -3 and g.norm_inf() == abs(complex(1e308, 1e308))
+
+
+def test_norm_inf_is_the_largest_kept_modulus():
+    f = LaurentPoly({0: 3 + 4j, 1: -2, 2: 1e-20})
+    assert f.norm_inf() == 5.0 and 2 not in dict(f.items())
+    assert LaurentPoly({0: 1.0}, scale=1e20).norm_inf() == 0.0
+    assert LaurentPoly().norm_inf() == 0.0

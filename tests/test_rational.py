@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -15,7 +16,12 @@ from pairedk import (
     rf_normalize,
     riesz_project,
 )
+from pairedk import rational, tolerances
 from pairedk.errors import PoleOnCircle, ZeroDenominator
+from pairedk.properties import GENERIC
+from pairedk.rational import decay_window
+from pairedk.roots import Root, poly_roots
+from pairedk.sampling import sample_l2_function, sample_symbol, trial_rng
 
 from oracles import fft_fourier, fft_fourier_window, fft_inner_product
 
@@ -259,3 +265,132 @@ def test_json_explicit_location_tag_honoured():
     }
     sym = R.from_json(data)
     assert sym.zeros[0].loc == "on"
+
+
+# ---------------------------------------------------------------- lazy zeros
+
+
+def _eager_zeros(num, den):
+    """The zeros an eager from_fraction locates: those of its deflated numerator."""
+    _, n_arr = num.to_array()
+    _, d_arr = den.to_array()
+    p_arr = rational._cancel_poles(n_arr, d_arr, poly_roots(den).roots)[0]
+    found = poly_roots(LaurentPoly.from_array(0, p_arr)).roots if len(p_arr) > 1 else ()
+    return rational._sorted_roots(found)
+
+
+def _located(sym):
+    """A copy of sym whose zeros are located before it is used."""
+    out = pickle.loads(pickle.dumps(sym))
+    out.zeros
+    return out
+
+
+def _same_symbol(x, y):
+    return (
+        (x.gain, x.zpow, x.zeros, x.poles) == (y.gain, y.zpow, y.zeros, y.poles)
+        and dict(x.num.items()) == dict(y.num.items())
+        and dict(x.den.items()) == dict(y.den.items())
+    )
+
+
+def _count_poly_roots(monkeypatch):
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return poly_roots(p)
+
+    monkeypatch.setattr(rational, "poly_roots", counting)
+    return calls
+
+
+def test_lazy_zeros_equal_eager_ones():
+    for i in range(40):
+        rng = trial_rng(5, i)
+        f = sample_l2_function(GENERIC, rng)
+        g = sample_symbol(GENERIC, rng)
+        for num, den in ((g.num, g.den), (f.num, f.den), ((f * g).num, (f * g).den)):
+            sym = R.from_fraction(num, den)
+            assert isinstance(sym._zeros, rational._LazyZeros)
+            assert sym.zeros == _eager_zeros(num, den)
+        parts = [f.riesz("plus"), f.riesz("minus"), f + g, R.from_fraction(g.num, g.den)]
+        for x in parts:
+            for y in parts + [g]:
+                if not (x.is_zero or y.is_zero):
+                    assert _same_symbol(x * y, _located(x) * _located(y))
+
+
+@pytest.mark.parametrize("gap", [1e-8, 1e-7, 1e-6, 1e-5, 1e-4])
+def test_zero_near_a_pole_takes_the_fallback(monkeypatch, gap):
+    pole = 0.4 + 0.2j
+    f = R.from_fraction(LaurentPoly.from_roots([pole + gap, -0.3, 1.7j]), LaurentPoly.from_roots([2.5]))
+    g = R(1.0, 0, (), (Root(pole, 1, "in"),))
+    calls = _count_poly_roots(monkeypatch)
+    lazy = f * g
+    assert calls, "the distance bound cannot clear a zero this close"
+    assert _same_symbol(lazy, _located(f) * g)
+
+
+def test_cancellation_through_the_fallback():
+    pole = 0.4 + 0.2j
+    f = R.from_fraction(LaurentPoly.from_roots([pole, -0.3]), LaurentPoly.one())
+    g = R(2.0, 0, (), (Root(pole, 1, "in"), Root(3.0, 1, "out")))
+    prod = f * g
+    assert [r.value for r in prod.poles] == [3.0]
+    assert _same_symbol(prod, _located(f) * g)
+
+
+def test_distant_zeros_are_never_located(monkeypatch):
+    f = R.from_fraction(LaurentPoly.from_roots([0.4 + 0.3j, -0.3, 1.7j]), LaurentPoly.from_roots([2.5]))
+    g = R(1.0, 0, (), (Root(0.4 + 0.2j, 1, "in"),))
+    calls = _count_poly_roots(monkeypatch)
+    prod = (f * g) * f
+    assert not calls
+    assert _same_symbol(prod, (_located(f) * g) * _located(f))
+
+
+def test_unresolved_zeros_survive_pickling():
+    f = R.from_fraction(LaurentPoly({0: 1, 1: -0.5, 3: 2j}), LaurentPoly.from_roots([0.5, 2.0]))
+    g = R.from_fraction(LaurentPoly({-1: 1, 2: 0.25}), LaurentPoly.from_roots([-0.3j]))
+    for sym in (f, f * g, (f * g) * R.monomial(2)):
+        assert isinstance(sym._zeros, rational._LazyZeros)
+        back = pickle.loads(pickle.dumps(sym))
+        assert back.zeros == sym.zeros and back.zeros
+
+
+def test_lazy_zeros_keep_the_tolerances_they_were_stored_under():
+    f = R.from_fraction(LaurentPoly.from_roots([1.2, -0.5]), LaurentPoly.one())
+    eager = _located(f).zeros
+    with tolerances.configured(eps_circle=0.5):
+        assert f.zeros == eager
+    assert [r.loc for r in eager] == ["in", "out"]
+
+
+def test_riesz_locates_no_zeros(monkeypatch):
+    inputs = []
+    for i in range(10):
+        rng = trial_rng(45, i)
+        a, b = sample_symbol(GENERIC, rng), sample_symbol(GENERIC, rng)
+        f = sample_l2_function(GENERIC, rng)
+        inputs += [b * f.riesz("minus"), a * f.riesz("plus"), (a - b) * f]
+    calls = _count_poly_roots(monkeypatch)
+    for x in inputs:
+        x.riesz("plus")
+        x.riesz("minus")
+    assert not calls
+
+
+def test_direct_plus_projection_matches_subtraction():
+    worst = 0.0
+    for i in range(300):
+        rng = trial_rng(11, i)
+        f = sample_l2_function(GENERIC, rng)
+        if i % 2:
+            f = sample_symbol(GENERIC, rng) * f
+        K = decay_window([f])
+        scale = np.abs(f.fourier_range(-K, K)).max()
+        direct = f.riesz("plus").fourier_range(-K, K)
+        subtracted = (f - f.riesz("minus")).fourier_range(-K, K)
+        worst = max(worst, np.abs(direct - subtracted).max() / scale)
+    assert worst <= 1e-15
