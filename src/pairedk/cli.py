@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -141,16 +142,20 @@ def _build_operator(args):
 def _cmd_kernel(args, cfg):
     kind = args.type
     if kind == "toeplitz":
-        kb = toeplitz_kernel(_symbol_arg(args.g))
+        g = _symbol_arg(args.g)
+        kb = toeplitz_kernel(g)
         payload = kb.to_json()
+        node = Toeplitz(g)
     else:
         pair = SymbolPair(_symbol_arg(args.a), _symbol_arg(args.b))
         if kind == "paired":
             kb = paired_kernel(pair)
             res = nontrivial_S(pair)
+            node = Paired(pair.a, pair.b)
         elif kind == "transposed":
             kb = transposed_kernel(pair)
             res = nontrivial_Sigma(pair)
+            node = Transposed(pair.a, pair.b)
         else:
             raise MalformedConfig(f"kernel type {kind!r} not supported")
         payload = kb.to_json()
@@ -162,7 +167,6 @@ def _cmd_kernel(args, cfg):
         payload["nontrivial"] = res.status if isinstance(res.status, str) else bool(res.status)
         payload["witness_checks"] = checks
     if args.N:
-        node = _build_operator(args)
         payload["oracle"] = kernel_oracle(node, _window(args.N, oracle_min_window(node))).to_json()
     _emit(args, payload)
     if args.human:
@@ -254,7 +258,9 @@ def _cmd_report(args, cfg):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="pairedk",
         description="Kernels and structure of multiplication-projection operators "

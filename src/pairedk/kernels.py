@@ -14,6 +14,10 @@ writing psi in the kernel as psi = (b psi)/b forces b*psi into ker T_g, and
 membership of psi in L2 is exactly the vanishing condition at the circle
 zeros of b.  Symbols whose *quotient* carries circle zeros or poles are
 routed to the numerical oracle instead of being enumerated.
+
+The oracle truncates the operator once, at window N, and counts the small
+singular values of that matrix.  Its stability check repeats the count, from
+singular values alone, on the N/2 sub-block of the same matrix.
 """
 
 from __future__ import annotations
@@ -541,37 +545,37 @@ class OracleResult:
         }
 
 
-def _oracle_once(node, N: int, rank_tol: float):
-    M = truncate(node, N)
-    d = bandwidth(node)
-    keep = np.ones(len(M.in_indices), dtype=bool)
+def _oracle_window(M, n: int, d: int):
+    """Columns |j| <= n and rows |k| <= n + d of the truncation ``M``, less d
+    columns at each artificial window edge: (matrix, kept column indices).
+    A leaf's column j does not depend on the window, so for n < N this is
+    the window-n truncation read off the window-N one (for a composition,
+    up to the tails its padding drops)."""
+    ins = M.in_indices
+    keep = np.abs(ins) <= n
     if d > 0:
-        lo_real = M.in_indices[0] <= -N  # artificial window edge on the low side
-        hi_real = M.in_indices[-1] >= N
-        if lo_real:
-            keep &= M.in_indices >= M.in_indices[0] + d
-        if hi_real:
-            keep &= M.in_indices <= M.in_indices[-1] - d
-    A = M.entries[:, keep]
-    kept = M.in_indices[keep]
-    u, s, vh = np.linalg.svd(A)
+        cols = ins[keep]
+        if cols[0] <= -n:  # artificial window edge on the low side
+            keep &= ins >= cols[0] + d
+        if cols[-1] >= n:
+            keep &= ins <= cols[-1] - d
+    return M.entries[np.ix_(np.abs(M.out_indices) <= n + d, keep)], ins[keep]
+
+
+def _kernel_count(s: np.ndarray, ncols: int, rank_tol: float):
+    """(dimension, gap, sigma_max) from the descending singular values ``s``
+    of a matrix with ``ncols`` columns: values below rank_tol * sigma_max
+    count as kernel, and every column does when the matrix is zero."""
     smax = float(s[0]) if len(s) else 0.0
-    thr = rank_tol * smax
     if smax == 0.0:
-        dim = A.shape[1]
-        gap = float("inf")
-        cands = np.eye(A.shape[1], dtype=complex)
-    else:
-        small = s < thr
-        dim = int(np.sum(small))
-        if dim == 0:
-            gap = float(s[-1]) / thr if thr > 0 else float("inf")
-        else:
-            above = float(s[len(s) - dim - 1]) if len(s) > dim else float("inf")
-            below = float(s[len(s) - dim])
-            gap = float("inf") if below == 0.0 else above / below
-        cands = vh[len(s) - dim :].conj() if dim else np.zeros((0, A.shape[1]), dtype=complex)
-    return dim, gap, cands, kept, smax
+        return ncols, float("inf"), smax
+    thr = rank_tol * smax
+    dim = int(np.sum(s < thr))
+    if dim == 0:
+        return 0, float(s[-1]) / thr if thr > 0 else float("inf"), smax
+    above = float(s[len(s) - dim - 1]) if len(s) > dim else float("inf")
+    below = float(s[len(s) - dim])
+    return dim, float("inf") if below == 0.0 else above / below, smax
 
 
 def oracle_min_window(node) -> int:
@@ -581,17 +585,29 @@ def oracle_min_window(node) -> int:
 
 def kernel_oracle(node, N: int, rank_tol: Optional[float] = None) -> OracleResult:
     """SVD-based kernel dimension estimate with an edge buffer and a
-    stability cross-check at half the window size."""
+    stability cross-check at half the window size.
+
+    The operator is truncated once, at N.  The cross-check counts the kernel
+    of its N/2 sub-block (rows |k| <= N/2 + d, columns |j| <= N/2, the same
+    edge trim) from the singular values alone."""
     node = build(node)
     least = oracle_min_window(node)
     if N < least:
         raise ValueError("oracle window must be at least twice the bandwidth")
     rank_tol = tol.RANK_TOL if rank_tol is None else rank_tol
-    dim, gap, cands, kept, smax = _oracle_once(node, N, rank_tol)
+    M, d = truncate(node, N), bandwidth(node)
+    A, kept = _oracle_window(M, N, d)
+    # A is tall unless it is zero, so the reduced vh is the full one
+    _, s, vh = np.linalg.svd(A, full_matrices=False)
+    dim, gap, smax = _kernel_count(s, A.shape[1], rank_tol)
+    if smax == 0.0:
+        cands = np.eye(A.shape[1], dtype=complex)
+    else:
+        cands = vh[len(s) - dim :].conj() if dim else np.zeros((0, A.shape[1]), dtype=complex)
     stable = None
     if N // 2 >= least:
-        dim_half, _, _, _, _ = _oracle_once(node, N // 2, rank_tol)
-        stable = dim_half == dim
+        half, _ = _oracle_window(M, N // 2, d)
+        stable = _kernel_count(np.linalg.svd(half, compute_uv=False), half.shape[1], rank_tol)[0] == dim
     result = OracleResult(dim, gap, cands, kept, stable, smax)
     if gap < tol.GAP_MIN:
         raise OracleIndeterminate(f"kernel oracle gap {gap:.3g} below certificate", result)

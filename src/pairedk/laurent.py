@@ -27,10 +27,10 @@ class LaurentPoly:
     the largest coefficient magnitude (or an explicit, larger reference
     supplied by cancellation-aware callers).  The zero polynomial is the one
     with an empty map.  The largest kept magnitude is recorded once, as
-    ``norm_inf()``.
+    ``norm_inf()``, and so are the ends of the support, ``lo`` and ``hi``.
     """
 
-    __slots__ = ("_c", "_norm")
+    __slots__ = ("_c", "_norm", "_lo", "_hi")
 
     def __init__(self, coeffs: Mapping[int, complex] | None = None, *, scale: float = 0.0):
         c: Dict[int, complex] = {}
@@ -48,10 +48,9 @@ class LaurentPoly:
                     c[int(k)] = complex(v)
         self._c = c
         self._norm = float(cmax) if c else 0.0
-        if c:
-            span = max(c) - min(c)
-            if span > _SPAN_LIMIT:
-                raise DegreeOverflow(f"Laurent support span {span} exceeds limit")
+        self._lo, self._hi = (min(c), max(c)) if c else (0, 0)
+        if self._hi - self._lo > _SPAN_LIMIT:
+            raise DegreeOverflow(f"Laurent support span {self._hi - self._lo} exceeds limit")
 
     # -- constructors -------------------------------------------------
 
@@ -81,13 +80,13 @@ class LaurentPoly:
     def lo(self) -> int:
         if not self._c:
             raise ValueError("zero polynomial has no support")
-        return min(self._c)
+        return self._lo
 
     @property
     def hi(self) -> int:
         if not self._c:
             raise ValueError("zero polynomial has no support")
-        return max(self._c)
+        return self._hi
 
     def coeff(self, k: int) -> complex:
         return self._c.get(k, 0.0 + 0.0j)

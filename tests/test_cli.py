@@ -146,6 +146,24 @@ def test_human_lines_agree_between_verify_and_report(tmp_path, capsys):
     assert report_err == verify_err
 
 
+def test_parser_is_built_once_and_reused_unchanged(capsys):
+    # the parser is shared by every call in a process, so a usage error in
+    # between must leave a repeated call's output byte for byte the same
+    assert build_parser() is build_parser()
+    argv = ["kernel", "--type", "paired", "--a", A_JSON, "--b", B_JSON, "--N", "16"]
+    outputs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        first = capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["kernel", "--type", "bogus"])
+        assert exc.value.code == 2
+        usage = capsys.readouterr()
+        outputs.append((first.out, first.err, usage.out, usage.err))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].startswith("{") and "invalid choice: 'bogus'" in outputs[0][3]
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["kernel", "--type", "bogus"])

@@ -424,6 +424,80 @@ def test_oracle_agreement_with_exact_kernels():
         assert ang <= 1e-7
 
 
+def test_oracle_truncates_once_and_takes_one_vector_svd(monkeypatch):
+    import pairedk.kernels as K
+
+    truncations, svds = [], []
+    truncate, svd = K.truncate, np.linalg.svd
+
+    def spy_truncate(node, N):
+        truncations.append(N)
+        return truncate(node, N)
+
+    def spy_svd(a, *args, **kwargs):
+        svds.append(kwargs.get("compute_uv", True))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(K, "truncate", spy_truncate)
+    monkeypatch.setattr(np.linalg, "svd", spy_svd)
+    res = kernel_oracle(Paired(R.const(1), R.monomial(1)), 64)
+    assert res.dim_estimate == 1 and res.stable is True
+    assert truncations == [64]
+    assert svds == [True, False]
+
+
+def _with_poles(gain, zeros, poles):
+    from pairedk.roots import LOC_IN, LOC_OUT, Root
+
+    def root(z):
+        return Root(z, 1, LOC_IN if abs(z) < 1 else LOC_OUT)
+
+    return R(gain, 0, tuple(map(root, zeros)), tuple(map(root, poles)))
+
+
+def _half_window_nodes():
+    from pairedk import Compose, Hankel
+
+    a = _with_poles(1.0, [0.3 + 0.2j], [2.5, -0.4j])
+    b = _with_poles(0.5, [0.5, 0.1 - 0.6j], [1.8j, 0.35])
+    g = _with_poles(2.0, [1.7], [0.45, -0.3 + 0.3j, 3.0])
+    return {
+        "paired": Paired(a, b),
+        "transposed": Transposed(a, b),
+        "toeplitz": Toeplitz(g),
+        "hankel": Hankel(g),
+        "compose": Compose(Paired(a, b), Toeplitz(g)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_half_window_nodes()))
+@pytest.mark.parametrize("N", [64, 65])
+def test_oracle_half_window_is_a_sub_block_of_the_full_one(name, N):
+    # the stability check reads the N/2 truncation off the N one; its kernel
+    # dimension equals that of a fresh N/2 truncation, and a leaf's entries
+    # are the same bit for bit
+    from pairedk.kernels import _kernel_count, _oracle_window
+    from pairedk.operators import bandwidth, truncate
+
+    node = _half_window_nodes()[name]
+    d = bandwidth(node)
+    sub, sub_kept = _oracle_window(truncate(node, N), N // 2, d)
+    fresh, fresh_kept = _oracle_window(truncate(node, N // 2), N // 2, d)
+    assert np.array_equal(sub_kept, fresh_kept) and sub.shape == fresh.shape
+    lo = -(N // 2) + d if name in ("paired", "transposed") else 0  # d columns off each artificial edge
+    assert np.array_equal(sub_kept, np.arange(lo, N // 2 - d + 1))
+    if name == "compose":  # the product's middle window grows with N
+        assert np.allclose(sub, fresh, rtol=0, atol=1e-14 * np.abs(fresh).max())
+    else:
+        assert np.array_equal(sub, fresh)
+    dim_sub, dim_fresh = (
+        _kernel_count(np.linalg.svd(m, compute_uv=False), m.shape[1], 1e-10)[0] for m in (sub, fresh)
+    )
+    assert dim_sub == dim_fresh
+    res = kernel_oracle(node, N)
+    assert res.stable == (dim_fresh == res.dim_estimate)
+
+
 def test_oracle_stability_flag():
     res = kernel_oracle(Paired(R.const(1), R.monomial(1)), 64)
     assert res.stable is True

@@ -45,6 +45,17 @@ def test_support_bounds_and_norms():
     assert f.degree_span() == 7
 
 
+def test_support_bounds_follow_arithmetic_and_refuse_the_zero_polynomial():
+    f, g = LP({-2: 3, 5: -4}), LP({1: 1, 4: 2j})
+    for h in (f + g, f - g, f * g, f.shift(-3), f.conj_reflect(), f - LP({5: -4})):
+        assert (h.lo, h.hi) == (min(h.support()), max(h.support()))
+    for zero in (LaurentPoly(), f - f, LaurentPoly({0: 1e-30}, scale=1.0)):
+        with pytest.raises(ValueError):
+            zero.lo
+        with pytest.raises(ValueError):
+            zero.hi
+
+
 def test_eval_two_sided_horner():
     f = LP({-2: 1, 0: 2, 3: -1})
     z = 0.7 + 0.2j
