@@ -18,12 +18,11 @@ from . import tolerances as tol
 from .errors import MalformedConfig, PairedKError, UnknownProperty
 from .factorization import inner_outer, wiener_hopf, winding_index
 from .kernels import (
+    NontrivialityResult,
     SymbolPair,
     kernel_oracle,
     member_S,
     member_Sigma,
-    nontrivial_S,
-    nontrivial_Sigma,
     oracle_min_window,
     paired_kernel,
     toeplitz_kernel,
@@ -126,47 +125,49 @@ def _window(n: int, least: int) -> int:
     return n
 
 
+_OPERATORS = {
+    "paired": (Paired, ("a", "b")),
+    "transposed": (Transposed, ("a", "b")),
+    "toeplitz": (Toeplitz, ("g",)),
+    "hankel": (Hankel, ("g",)),
+}
+
+
+def _symbols(args, *names):
+    """The named symbol options, parsed; a missing one is a usage error."""
+    missing = [f"--{n}" for n in names if getattr(args, n) is None]
+    if missing:
+        raise MalformedConfig(f"{args.command} --type {args.type} needs {' and '.join(missing)}")
+    return [_symbol_arg(getattr(args, n)) for n in names]
+
+
 def _build_operator(args):
-    kind = args.type
-    if kind == "paired":
-        return Paired(_symbol_arg(args.a), _symbol_arg(args.b))
-    if kind == "transposed":
-        return Transposed(_symbol_arg(args.a), _symbol_arg(args.b))
-    if kind == "toeplitz":
-        return Toeplitz(_symbol_arg(args.g))
-    if kind == "hankel":
-        return Hankel(_symbol_arg(args.g))
-    raise MalformedConfig(f"unknown operator type {kind!r}")
+    cls, names = _OPERATORS[args.type]
+    return cls(*_symbols(args, *names))
 
 
 def _cmd_kernel(args, cfg):
     kind = args.type
+    if kind == "hankel":
+        raise MalformedConfig("kernel needs --type paired, transposed or toeplitz")
+    cls, names = _OPERATORS[kind]
+    symbols = _symbols(args, *names)
     if kind == "toeplitz":
-        g = _symbol_arg(args.g)
-        kb = toeplitz_kernel(g)
-        payload = kb.to_json()
-        node = Toeplitz(g)
+        payload = toeplitz_kernel(*symbols).to_json()
     else:
-        pair = SymbolPair(_symbol_arg(args.a), _symbol_arg(args.b))
-        if kind == "paired":
-            kb = paired_kernel(pair)
-            res = nontrivial_S(pair)
-            node = Paired(pair.a, pair.b)
-        elif kind == "transposed":
-            kb = transposed_kernel(pair)
-            res = nontrivial_Sigma(pair)
-            node = Transposed(pair.a, pair.b)
-        else:
-            raise MalformedConfig(f"kernel type {kind!r} not supported")
+        pair = SymbolPair(*symbols)
+        kb = paired_kernel(pair) if kind == "paired" else transposed_kernel(pair)
+        res = NontrivialityResult.from_kernel(kb)
         payload = kb.to_json()
         checks = []
-        if res.status is True and res.witness is not None:
+        if res.status is True:
             member = member_S if kind == "paired" else member_Sigma
             checks.append({"witness_verified": bool(member(res.witness, pair))})
             payload["witness"] = res.witness.to_json()
-        payload["nontrivial"] = res.status if isinstance(res.status, str) else bool(res.status)
+        payload["nontrivial"] = res.status
         payload["witness_checks"] = checks
     if args.N:
+        node = cls(*symbols)
         payload["oracle"] = kernel_oracle(node, _window(args.N, oracle_min_window(node))).to_json()
     _emit(args, payload)
     if args.human:
@@ -176,7 +177,7 @@ def _cmd_kernel(args, cfg):
 
 def _cmd_apply(args, cfg):
     node = _build_operator(args)
-    f = _symbol_arg(args.f)
+    (f,) = _symbols(args, "f")
     image = apply_exact(node, f)
     _emit(args, {"image": image.to_json(), "is_zero": image.is_zero})
     return 0

@@ -15,6 +15,10 @@ membership of psi in L2 is exactly the vanishing condition at the circle
 zeros of b.  Symbols whose *quotient* carries circle zeros or poles are
 routed to the numerical oracle instead of being enumerated.
 
+A nontriviality witness is the first element of the exact kernel: for the
+paired kernel phi_+ + phi_- = 1/g_plus - z^kappa g_minus (the paper's
+O_+ - I_- O_-), for the transposed kernel q/(g_plus b) (its O_+/b).
+
 The oracle truncates the operator once, at window N, and counts the small
 singular values of that matrix.  Its stability check repeats the count, from
 singular values alone, on the N/2 sub-block of the same matrix.
@@ -22,6 +26,7 @@ singular values alone, on the N/2 sub-block of the same matrix.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -145,52 +150,63 @@ def member_Sigma(f: RationalSymbol, p: SymbolPair) -> bool:
 # exact kernels
 
 
-def toeplitz_kernel(g: RationalSymbol) -> KernelBasis:
-    """Kernel of f -> P+(g f) on the plus Hardy space (domain-filtered)."""
-    if g.is_zero:
-        raise DegenerateSymbol("Toeplitz symbol must be nonzero a.e.")
+def _regular_quotient(g: RationalSymbol, noun: str, **empty_cert):
+    """The step the three exact kernels share.  A circle zero or pole of g
+    gives a needs_oracle basis and winding >= 0 an empty one; otherwise the
+    certified Wiener-Hopf factorization of g is returned."""
     if g.has_circle_pole or g.has_circle_zero:
         return KernelBasis(
             (),
             STATUS_NEEDS_ORACLE,
             None,
-            {"reason": "symbol has zeros or poles on the circle; no exact enumeration"},
+            {"reason": f"{noun} has zeros or poles on the circle; no exact enumeration"},
         )
     kappa = winding_index(g)
     if kappa >= 0:
-        return KernelBasis((), STATUS_EMPTY, 0, {"kappa": kappa})
-    fac = wiener_hopf(g)
+        return KernelBasis((), STATUS_EMPTY, 0, {"kappa": kappa, **empty_cert})
+    return wiener_hopf(g)
+
+
+def _toeplitz_elements(g: RationalSymbol, fac):
+    """The basis elements e = z^j / g_plus of ker T_g in order, each with
+    its image g e, verified to lie in H2-."""
     inv_plus = fac.g_plus.reciprocal()
-    elements = []
-    for j in range(-kappa):
+    for j in range(-fac.kappa):
         e = inv_plus * RationalSymbol.monomial(j)
         img = g * e
         if not (img.membership(H2M) and e.membership(H2P)):
             raise ArithmeticError("constructed Toeplitz kernel element fails verification")
-        elements.append(e)
-    return KernelBasis(tuple(elements), STATUS_EXACT, -kappa, {"kappa": kappa})
+        yield e, img
 
 
-def paired_kernel(p: SymbolPair) -> KernelBasis:
-    """Kernel of a P+ + b P- as pairs (phi_+, phi_-)."""
+def toeplitz_kernel(g: RationalSymbol) -> KernelBasis:
+    """Kernel of f -> P+(g f) on the plus Hardy space (domain-filtered)."""
+    if g.is_zero:
+        raise DegenerateSymbol("Toeplitz symbol must be nonzero a.e.")
+    fac = _regular_quotient(g, "symbol")
+    if isinstance(fac, KernelBasis):
+        return fac
+    elements = tuple(e for e, _ in _toeplitz_elements(g, fac))
+    return KernelBasis(elements, STATUS_EXACT, -fac.kappa, {"kappa": fac.kappa})
+
+
+def paired_kernel(p: SymbolPair, *, _limit: Optional[int] = None) -> KernelBasis:
+    """Kernel of a P+ + b P- as pairs (phi_+, phi_-), phi_- = -g phi_+.
+    Only the first ``_limit`` elements are built when it is given."""
     if not p.nondegenerate:
         # multiplication by a nonzero a.e. function is injective
         return KernelBasis((), STATUS_EMPTY, 0, {"reason": "degenerate pair: multiplication operator"})
     g = p.quotient()
-    tk = toeplitz_kernel(g)
-    if tk.status == STATUS_NEEDS_ORACLE:
-        return KernelBasis((), STATUS_NEEDS_ORACLE, None, tk.certificate)
+    fac = _regular_quotient(g, "symbol")
+    if isinstance(fac, KernelBasis):
+        return fac
     elements = []
-    for phi_plus in tk.elements:
-        phi_minus = -(g * phi_plus)
-        if not (phi_minus.membership(H2M) and not phi_minus.has_circle_pole):
-            continue  # quotient domain filtering
-        el = PairedElement(phi_plus, phi_minus)
+    for phi_plus, img in itertools.islice(_toeplitz_elements(g, fac), _limit):
+        el = PairedElement(phi_plus, -img)
         if not member_S(el.total, p):
             raise ArithmeticError("constructed paired kernel element fails verification")
         elements.append(el)
-    status = STATUS_EXACT if elements else STATUS_EMPTY
-    return KernelBasis(tuple(elements), status, len(elements), dict(tk.certificate))
+    return KernelBasis(tuple(elements), STATUS_EXACT, -fac.kappa, {"kappa": fac.kappa})
 
 
 def _circle_zero_poly(sym: RationalSymbol) -> Tuple[RationalSymbol, int]:
@@ -202,41 +218,25 @@ def _circle_zero_poly(sym: RationalSymbol) -> Tuple[RationalSymbol, int]:
     return RationalSymbol(1.0, 0, tuple(roots), ()), m
 
 
-def _sigma_side_conditions(p: SymbolPair, fac) -> dict:
-    """L2 side conditions for the canonical representation of the quotient."""
-    o_minus_over_a = fac.g_minus / p.a
-    o_plus_over_b = fac.g_plus.reciprocal() / p.b
-    return {
-        "O_minus_over_a_in_L2": o_minus_over_a.membership(SpaceTag.L2),
-        "O_plus_over_b_in_L2": o_plus_over_b.membership(SpaceTag.L2),
-    }
-
-
-def transposed_kernel(p: SymbolPair) -> KernelBasis:
-    """Kernel of P+ a + P- b, enumerated exactly for regular quotients."""
+def transposed_kernel(p: SymbolPair, *, _limit: Optional[int] = None) -> KernelBasis:
+    """Kernel of P+ a + P- b, enumerated exactly for regular quotients.
+    Only the first ``_limit`` elements are built when it is given."""
     if not p.nondegenerate:
         # a f in H2+ and H2- simultaneously forces a f = 0, hence f = 0
         return KernelBasis((), STATUS_EMPTY, 0, {"reason": "degenerate pair: kernel is {0}"})
-    g = p.quotient()
-    if g.has_circle_pole or g.has_circle_zero:
-        return KernelBasis(
-            (),
-            STATUS_NEEDS_ORACLE,
-            None,
-            {"reason": "quotient has zeros or poles on the circle; no exact enumeration"},
-        )
-    kappa = winding_index(g)
-    if kappa >= 0:
-        return KernelBasis(
-            (), STATUS_EMPTY, 0, {"kappa": kappa, "reason": "paired kernel already trivial"}
-        )
-    fac = wiener_hopf(g)
-    n = -kappa
+    fac = _regular_quotient(p.quotient(), "quotient", reason="paired kernel already trivial")
+    if isinstance(fac, KernelBasis):
+        return fac
+    n = -fac.kappa
     qsym, m_on = _circle_zero_poly(p.b)
     cert = {
-        "kappa": kappa,
+        "kappa": fac.kappa,
         "circle_zero_mult_b": m_on,
-        "side_conditions": _sigma_side_conditions(p, fac),
+        # L2 side conditions for the canonical representation of the quotient
+        "side_conditions": {
+            "O_minus_over_a_in_L2": (fac.g_minus / p.a).membership(SpaceTag.L2),
+            "O_plus_over_b_in_L2": (fac.g_plus.reciprocal() / p.b).membership(SpaceTag.L2),
+        },
     }
     if n <= m_on:
         cert["reason"] = (
@@ -244,9 +244,9 @@ def transposed_kernel(p: SymbolPair) -> KernelBasis:
             "the whole Toeplitz kernel"
         )
         return KernelBasis((), STATUS_EMPTY, 0, cert)
-    base = qsym / (fac.g_plus * p.b)
+    base = qsym / (fac.g_plus * p.b)  # O_+/b with O_+ = q/g_plus outer
     elements = []
-    for j in range(n - m_on):
+    for j in range(n - m_on)[:_limit]:
         e = base * RationalSymbol.monomial(j)
         if not member_Sigma(e, p):
             raise ArithmeticError("constructed transposed kernel element fails verification")
@@ -267,54 +267,30 @@ class NontrivialityResult:
     def __bool__(self):
         return self.status is True
 
+    @classmethod
+    def from_kernel(cls, kb: KernelBasis) -> "NontrivialityResult":
+        """Read off a kernel enumerated at least to its first element, which
+        is the witness (for a paired element, its total)."""
+        if kb.status == STATUS_NEEDS_ORACLE:
+            return cls(STATUS_NEEDS_ORACLE, None, kb.certificate)
+        if kb.is_empty:
+            return cls(False, None, kb.certificate)
+        first = kb.elements[0]
+        return cls(True, first.total if isinstance(first, PairedElement) else first, kb.certificate)
+
 
 def nontrivial_S(p: SymbolPair) -> NontrivialityResult:
-    """Decide ker(a P+ + b P-) != {0}; on success return a verified witness."""
-    if not p.nondegenerate:
-        return NontrivialityResult(False, None, {"reason": "degenerate pair"})
-    g = p.quotient()
-    if g.has_circle_pole or g.has_circle_zero:
-        return NontrivialityResult(
-            "needs_oracle", None, {"reason": "quotient has circle zeros or poles"}
-        )
-    kappa = winding_index(g)
-    if kappa >= 0:
-        return NontrivialityResult(False, None, {"kappa": kappa})
-    fac = wiener_hopf(g)
-    # witness O_+ - I_- O_- from the factored quotient
-    witness = fac.g_plus.reciprocal() - RationalSymbol.monomial(kappa) * fac.g_minus
-    if not member_S(witness, p):
-        raise ArithmeticError("nontriviality witness fails membership")
-    return NontrivialityResult(True, witness, {"kappa": kappa})
+    """Decide ker(a P+ + b P-) != {0}; the witness is the first kernel
+    element, O_+ - I_- O_- = 1/g_plus - z^kappa g_minus."""
+    return NontrivialityResult.from_kernel(paired_kernel(p, _limit=1))
 
 
 def nontrivial_Sigma(p: SymbolPair) -> NontrivialityResult:
-    """Decide ker(P+ a + P- b) != {0} with witness O_+/b when nontrivial."""
+    """Decide ker(P+ a + P- b) != {0}; the witness is the first kernel
+    element, O_+/b."""
     if not p.nondegenerate:
         raise DegenerateSymbol("nondegenerate pair required")
-    g = p.quotient()
-    if g.has_circle_pole or g.has_circle_zero:
-        return NontrivialityResult(
-            "needs_oracle", None, {"reason": "quotient has circle zeros or poles"}
-        )
-    kappa = winding_index(g)
-    if kappa >= 0:
-        return NontrivialityResult(False, None, {"kappa": kappa})
-    fac = wiener_hopf(g)
-    n = -kappa
-    qsym, m_on = _circle_zero_poly(p.b)
-    cert = {
-        "kappa": kappa,
-        "circle_zero_mult_b": m_on,
-        "side_conditions": _sigma_side_conditions(p, fac),
-    }
-    if n <= m_on:
-        cert["reason"] = "L2 side conditions fail for every admissible outer pair"
-        return NontrivialityResult(False, None, cert)
-    witness = qsym / (fac.g_plus * p.b)  # = O_+/b with O_+ = q/g_plus outer
-    if not member_Sigma(witness, p):
-        raise ArithmeticError("nontriviality witness fails membership")
-    return NontrivialityResult(True, witness, cert)
+    return NontrivialityResult.from_kernel(transposed_kernel(p, _limit=1))
 
 
 def kernels_equal_S(p: SymbolPair, q: SymbolPair) -> bool:
@@ -417,10 +393,11 @@ def _has_minus_inner_factor(h: RationalSymbol) -> bool:
 
 def sigma_inclusion(p: SymbolPair, q: SymbolPair) -> str:
     """Compare ker(P+ a + P- b) for two pairs: subset / equal / no_subset / unknown."""
-    res = nontrivial_Sigma(p)
-    if res.status is False:
-        raise TrivialKernel("inclusion criterion requires a nontrivial kernel")
+    if not p.nondegenerate:
+        raise DegenerateSymbol("nondegenerate pair required")
     kb_p = transposed_kernel(p)
+    if kb_p.is_empty:
+        raise TrivialKernel("inclusion criterion requires a nontrivial kernel")
     kb_q = transposed_kernel(q)
     if kb_p.status != STATUS_NEEDS_ORACLE and kb_q.status != STATUS_NEEDS_ORACLE:
         forward = all(member_Sigma(e, q) for e in kb_p.elements)

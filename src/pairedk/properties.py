@@ -241,6 +241,12 @@ def _p_prod(rng, cfg):
     return True, {}
 
 
+def _cross_term(y: SymbolPair, fp: R, fm: R) -> R:
+    """The Hankel-type cross term (y.b P-f)_+ - (y.a P+f)_- of f = fp + fm,
+    with fp = P+f and fm = P-f."""
+    return (y.b * fm).riesz("plus") - (y.a * fp).riesz("minus")
+
+
 def _p_prodres(rng, cfg):
     p = _nonzero_pair(rng)
     q = _nonzero_pair(rng)
@@ -251,9 +257,7 @@ def _p_prodres(rng, cfg):
         lhs = apply_exact(Compose(Paired(p.a, p.b), Paired(q.a, q.b)), f) - apply_exact(
             Paired(p.a * q.a, p.b * q.b), f
         )
-        rhs = (p.a - p.b) * (
-            (q.b * f.riesz("minus")).riesz("plus") - (q.a * f.riesz("plus")).riesz("minus")
-        )
+        rhs = (p.a - p.b) * _cross_term(q, f.riesz("plus"), f.riesz("minus"))
         worst = max(worst, _id_residual(lhs, rhs, floor))
         lhs2 = apply_exact(Compose(Transposed(p.a, p.b), Transposed(q.a, q.b)), f) - apply_exact(
             Transposed(p.a * q.a, p.b * q.b), f
@@ -274,11 +278,8 @@ def _p_commexp(rng, cfg):
     for f in _probe_functions(rng):
         floor = op_scale * max(_coeff_scale(f), 1.0)
         lhs = apply_exact(Commutator(X, Y), f)
-        rhs = (p.a - p.b) * (
-            (q.b * f.riesz("minus")).riesz("plus") - (q.a * f.riesz("plus")).riesz("minus")
-        ) - (q.a - q.b) * (
-            (p.b * f.riesz("minus")).riesz("plus") - (p.a * f.riesz("plus")).riesz("minus")
-        )
+        fp, fm = f.riesz("plus"), f.riesz("minus")
+        rhs = (p.a - p.b) * _cross_term(q, fp, fm) - (q.a - q.b) * _cross_term(p, fp, fm)
         worst = max(worst, _id_residual(lhs, rhs, floor))
         lhs2 = apply_exact(Commutator(Xs, Ys), f)
         u = (p.a - p.b) * f

@@ -268,3 +268,50 @@ def test_window_below_minimum_is_usage_error(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: --N")
+
+
+@pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (["kernel", "--type", "hankel", "--g", A_JSON], "--type"),
+        (["kernel", "--type", "paired", "--b", B_JSON], "--a"),
+        (["kernel", "--type", "toeplitz"], "--g"),
+        (["apply", "--type", "paired", "--a", A_JSON, "--b", B_JSON], "--f"),
+    ],
+    ids=["kernel-hankel", "kernel-paired-no-a", "kernel-toeplitz-no-g", "apply-no-f"],
+)
+def test_missing_or_unsupported_symbol_is_usage_error(capsys, argv, missing):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert missing in captured.err
+
+
+@pytest.mark.parametrize("kind", ["paired", "transposed"])
+def test_kernel_query_factors_once_and_reads_its_witness_off_the_basis(monkeypatch, capsys, kind):
+    import pairedk.cli as cli
+    import pairedk.kernels as K
+
+    calls = []
+    real = K.wiener_hopf
+    monkeypatch.setattr(K, "wiener_hopf", lambda g: calls.append(g) or real(g))
+
+    def refuse(p):
+        raise AssertionError("a kernel query decided nontriviality separately")
+
+    for module in (K, cli):
+        for name in ("nontrivial_S", "nontrivial_Sigma"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    # a = 1/z^2, b = z + 2: winding -2, both kernels two-dimensional
+    a, b = '{"coeffs":{"-2":[1,0]}}', '{"coeffs":{"0":[2,0],"1":[1,0]}}'
+    code, data = run_cli(capsys, "kernel", "--type", kind, "--a", a, "--b", b)
+    assert code == 0 and len(calls) == 1
+    assert data["dimension"] == 2 and data["nontrivial"] is True
+    assert data["witness_checks"] == [{"witness_verified": True}]
+    first = data["basis"][0]
+    if kind == "paired":
+        from pairedk import RationalSymbol
+
+        first = (RationalSymbol.from_json(first["plus"]) + RationalSymbol.from_json(first["minus"])).to_json()
+    assert data["witness"] == first

@@ -15,7 +15,7 @@ from pairedk.errors import NotInHardySpace, ZeroFunction, ZeroOrPoleOnCircle
 from pairedk.roots import reconstruct
 from pairedk.sampling import SamplerProfile, sample_symbol, trial_rng
 
-from oracles import winding_number_by_argument
+import fftcheck as fc
 
 R = RationalSymbol
 
@@ -87,7 +87,7 @@ def test_winding_matches_argument_principle():
     prof = SamplerProfile(class_constraint="invertible", degree_bound=3)
     for _ in range(5):
         g = sample_symbol(prof, rng)
-        assert winding_index(g) == winding_number_by_argument(g)
+        assert winding_index(g) == fc.winding(fc.eval_json(g.to_json(), fc.circle_grid(16384)))
 
 
 # ---------------------------------------------------------------- Wiener-Hopf

@@ -217,6 +217,57 @@ def test_nontrivial_Sigma_examples():
 def test_nontrivial_Sigma_requires_nondegenerate():
     with pytest.raises(DegenerateSymbol):
         nontrivial_Sigma(SymbolPair(R.const(1), R.const(1)))
+    with pytest.raises(DegenerateSymbol):
+        sigma_inclusion(SymbolPair(R.const(1), R.const(1)), CIRCLE_PAIR)
+
+
+def _nontriviality_cases():
+    """Degenerate, needs_oracle, empty and exact pairs, most of them sampled."""
+    rng = trial_rng(31, 4)
+    prof = SamplerProfile(degree_bound=2)
+    from pairedk.sampling import sample_quotient_with_winding, sample_symbol
+
+    cases = [
+        SymbolPair(C({0: 1, 1: 0.5}), C({0: 1, 1: 0.5})),  # degenerate
+        SymbolPair(C({0: 1, 1: 1}), R.const(1)),  # quotient 1 + z vanishes at -1
+        CIRCLE_PAIR,  # paired exact, transposed empty by its side conditions
+    ]
+    for _ in range(16):
+        g = sample_quotient_with_winding(prof, rng, int(rng.integers(-3, 3)))
+        b = sample_symbol(prof.tighter(class_constraint="invertible"), rng)
+        cases.append(SymbolPair(g * b, b))
+    return cases
+
+
+def test_nontriviality_is_read_off_the_first_kernel_element():
+    expect = {"exact": True, "empty": False, "needs_oracle": "needs_oracle"}
+    seen = set()
+    for pair in _nontriviality_cases():
+        checks = [(nontrivial_S, paired_kernel, lambda e: e.total)]
+        if pair.nondegenerate:
+            checks.append((nontrivial_Sigma, transposed_kernel, lambda e: e))
+        for decide, kernel, witness_of in checks:
+            res, kb = decide(pair), kernel(pair)
+            seen.add(kb.status)
+            assert res.status == expect[kb.status]
+            if kb.status == "exact":
+                assert res.witness.to_json() == witness_of(kb.elements[0]).to_json()
+            else:
+                assert res.witness is None
+    assert seen == set(expect)
+
+
+def test_nontriviality_verifies_only_its_witness(monkeypatch):
+    import pairedk.kernels as K
+
+    calls = []
+    for name in ("member_S", "member_Sigma"):
+        real = getattr(K, name)
+        monkeypatch.setattr(K, name, lambda f, p, real=real, name=name: calls.append(name) or real(f, p))
+    res_s = nontrivial_S(SymbolPair(R.const(1), R.monomial(3)))
+    res_sig = nontrivial_Sigma(SymbolPair(R.monomial(-3), R.const(1)))
+    assert res_s.status is True and res_sig.status is True
+    assert calls == ["member_S", "member_Sigma"]
 
 
 def test_sigma_implies_paired():
@@ -355,6 +406,16 @@ def test_sigma_inclusion_nested_model_spaces():
 def test_sigma_inclusion_requires_nontrivial():
     with pytest.raises(TrivialKernel):
         sigma_inclusion(SymbolPair(R.monomial(2), R.const(1)), CIRCLE_PAIR)
+
+
+def test_sigma_inclusion_factors_each_pair_once(monkeypatch):
+    import pairedk.kernels as K
+
+    calls = []
+    real = K.wiener_hopf
+    monkeypatch.setattr(K, "wiener_hopf", lambda g: calls.append(g) or real(g))
+    assert sigma_inclusion(SymbolPair(R.monomial(-1), R.const(1)), SymbolPair(R.monomial(-2), R.const(1))) == "subset"
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------- model spaces

@@ -32,7 +32,7 @@ from pairedk import (
 )
 from pairedk.errors import DomainMismatch, SymbolNotBounded, WindowOverflow
 
-from oracles import brute_paired_apply, brute_transposed_apply, fft_project, grid, sample_boundary
+import fftcheck as fc
 
 R = RationalSymbol
 
@@ -96,14 +96,14 @@ def test_apply_matches_boundary_sampling():
     a = C({0: 1, 1: 0.5j}) / C({0: 2.4, 1: 1})
     b = C({0: 1, -1: -0.3}) / C({0: -0.4 + 0.1j, 1: 1})
     f = C({-2: 1, 1: 1j}) / C({0: 3.0, 1: 1})
+    z = fc.circle_grid(8192)
+    av, bv, fv = (fc.eval_json(s.to_json(), z) for s in (a, b, f))
     got = apply_exact(Paired(a, b), f)
-    want = brute_paired_apply(a, b, f)
-    vals = np.array([got.eval(z) for z in grid(8192)])
-    assert np.abs(vals - want).max() < 1e-10
+    want = av * fc.riesz(fv, "plus") + bv * fc.riesz(fv, "minus")
+    assert np.abs(fc.eval_json(got.to_json(), z) - want).max() < 1e-10
     got2 = apply_exact(Transposed(a, b), f)
-    want2 = brute_transposed_apply(a, b, f)
-    vals2 = np.array([got2.eval(z) for z in grid(8192)])
-    assert np.abs(vals2 - want2).max() < 1e-10
+    want2 = fc.riesz(av * fv, "plus") + fc.riesz(bv * fv, "minus")
+    assert np.abs(fc.eval_json(got2.to_json(), z) - want2).max() < 1e-10
 
 
 def test_apply_domain_check():
@@ -301,12 +301,12 @@ R07_ETA = C({0: 0.5, 2: 1}) / (C({0: 0.69j, 1: 1}) * C({0: -1.45, 1: 1}))
 
 def _grid_window(node, M, n=4096):
     """FFT-grid reference: each column applies the node to the sampled z^j."""
-    zs = grid(n)
+    zs = fc.circle_grid(n)
     vals = {}
 
     def sampled(s):
         if id(s) not in vals:
-            vals[id(s)] = sample_boundary(s, n)
+            vals[id(s)] = fc.eval_json(s.to_json(), zs)
         return vals[id(s)]
 
     def act(nd, v):
@@ -316,7 +316,7 @@ def _grid_window(node, M, n=4096):
             return act(nd.x, act(nd.y, v)) - act(nd.y, act(nd.x, v))
         if isinstance(nd, Mult):
             return sampled(nd.eta) * v
-        return sampled(nd.a) * fft_project(v, "plus") + sampled(nd.b) * fft_project(v, "minus")
+        return sampled(nd.a) * fc.riesz(v, "plus") + sampled(nd.b) * fc.riesz(v, "minus")
 
     ks = M.out_indices
     cols = [np.fft.fft(act(node, zs ** int(j)))[ks % n] / n for j in M.in_indices]
