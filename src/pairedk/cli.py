@@ -78,17 +78,24 @@ def load_config(path):
 
 
 def _symbol_arg(text):
-    """Parse a symbol argument: inline JSON or a path to a JSON file."""
+    """Parse a symbol argument: inline JSON or a path to a JSON file.
+    An unreadable file, and JSON that does not describe a symbol, are usage
+    errors."""
     if text is None:
         return None
     text = text.strip()
-    if not text.startswith("{") and os.path.exists(text):
-        with open(text) as fh:
-            return RationalSymbol.from_json(json.load(fh))
     try:
-        return RationalSymbol.from_json(json.loads(text))
-    except json.JSONDecodeError as exc:
+        if not text.startswith("{") and os.path.exists(text):
+            with open(text) as fh:
+                data = json.load(fh)
+        else:
+            data = json.loads(text)
+    except (OSError, ValueError) as exc:  # ValueError covers JSONDecodeError and UnicodeDecodeError
         raise MalformedConfig(f"bad symbol JSON: {exc}") from exc
+    try:
+        return RationalSymbol.from_json(data)
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
+        raise MalformedConfig(f"bad symbol JSON: {type(exc).__name__}: {exc}") from exc
 
 
 def _emit(args, payload):
@@ -133,11 +140,12 @@ _OPERATORS = {
 }
 
 
-def _symbols(args, *names):
-    """The named symbol options, parsed; a missing one is a usage error."""
+def _symbols(args, *names, usage=None):
+    """The named symbol options, parsed; a missing one is a usage error,
+    reported as ``usage`` where the command and its --type do not say it."""
     missing = [f"--{n}" for n in names if getattr(args, n) is None]
     if missing:
-        raise MalformedConfig(f"{args.command} --type {args.type} needs {' and '.join(missing)}")
+        raise MalformedConfig(usage or f"{args.command} --type {args.type} needs {' and '.join(missing)}")
     return [_symbol_arg(getattr(args, n)) for n in names]
 
 
@@ -185,12 +193,12 @@ def _cmd_apply(args, cfg):
 
 def _cmd_factor(args, cfg):
     if args.wh:
-        g = _symbol_arg(args.g)
+        (g,) = _symbols(args, "g", usage="factor --wh needs --g")
         fac = wiener_hopf(g)
         payload = fac.to_json()
         payload["winding_index"] = winding_index(g)
     else:
-        f = _symbol_arg(args.f or args.g)
+        (f,) = _symbols(args, "f" if args.f else "g", usage="factor needs --f or --g")
         pair = inner_outer(f, args.side)
         payload = {
             "inner": pair.inner.to_json(),
@@ -210,10 +218,12 @@ def _cmd_norm(args, cfg):
 
 
 def _cmd_commutator(args, cfg):
+    if args.type not in ("paired", "transposed"):
+        raise MalformedConfig(
+            f"commutator needs --type paired|transposed, not {args.type}: --g is the multiplier symbol"
+        )
     base = _build_operator(args)
-    eta = _symbol_arg(args.g) if args.type in ("paired", "transposed") else None
-    if eta is None:
-        raise MalformedConfig("commutator needs --g as the multiplier symbol")
+    (eta,) = _symbols(args, "g")
     node = Commutator(base, Mult(eta))
     n = _window(args.N or max(16, 2 * bandwidth(node)), max(bandwidth(node), 1))
     res = numerical_rank(truncate(node, n))

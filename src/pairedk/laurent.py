@@ -2,12 +2,14 @@
 
 These are the exact building blocks: every rational function on the circle
 is a quotient of two of them.  Instances are immutable and hashable by
-identity; all arithmetic returns fresh objects.
+identity; all arithmetic returns fresh objects, and ``from_roots`` may return
+a shared one.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import Dict, Iterable, Mapping, Tuple
 
@@ -18,6 +20,9 @@ from .errors import DegreeOverflow
 
 MAX_DEGREE = 64
 _SPAN_LIMIT = 4096  # runaway-product guard, far above anything legitimate
+# Entries kept by each memo of pole-only data, here and in ``rational``; a
+# trial of the property suite needs a few dozen.
+MEMO_SIZE = 256
 
 
 class LaurentPoly:
@@ -64,11 +69,12 @@ class LaurentPoly:
 
     @classmethod
     def from_roots(cls, roots: Iterable[complex], lead: complex = 1.0) -> "LaurentPoly":
-        """Expand lead * prod (z - r) over the given roots (with repeats)."""
-        arr = np.array([lead], dtype=complex)
-        for r in sorted(roots, key=lambda w: (w.real, w.imag)):
-            arr = np.convolve(arr, np.array([-r, 1.0], dtype=complex))
-        return cls(dict(enumerate(arr.tolist())))
+        """Expand lead * prod (z - r) over the given roots (with repeats).
+
+        The expansion is memoized: equal inputs, bit for bit, share one
+        (immutable) result."""
+        ordered = sorted(roots, key=lambda w: (w.real, w.imag))
+        return _expand(np.array([lead, *(-r for r in ordered)], dtype=complex).tobytes())
 
     # -- basic queries ------------------------------------------------
 
@@ -201,3 +207,15 @@ class LaurentPoly:
                 parts.append(f"({v:.4g})z^{k}")
         return "LaurentPoly(" + " + ".join(parts) + ")"
 
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _expand(key: bytes) -> LaurentPoly:
+    """lead * prod (z + c) for ``key``, the bytes of the complex array
+    [lead, c_1, c_2, ...]: these bits are all the expansion reads.  It reads
+    no settable tolerance (the pruning threshold EPS_DROP is fixed), so the
+    memo needs nothing else in its key; a raising input is not stored."""
+    lead, *factors = np.frombuffer(key, dtype=complex)
+    arr = np.array([lead], dtype=complex)
+    for c in factors:
+        arr = np.convolve(arr, np.array([c, 1.0], dtype=complex))
+    return LaurentPoly(dict(enumerate(arr.tolist())))

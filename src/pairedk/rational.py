@@ -15,6 +15,14 @@ projections never read zeros.  The product's proximity gate (a zero within
 1e-6 of a pole triggers the pole-cancellation value test) is decided by a
 distance bound first: where Fujiwara's bound on the Taylor-shifted numerator
 keeps every zero far from every pole, no zero is located.
+
+Denominator data depends on the poles alone and is memoized on exact bit
+keys: ``LaurentPoly.from_roots`` on the bits of its lead and sorted roots,
+the Bezout split of 1/den on the bits of the two denominator factors it
+solves with, and each coefficient stream of a split is kept at the longest
+order asked for and served as a prefix.  Each memo keeps the ``MEMO_SIZE``
+(256) most recent entries; none reads a tolerance, so a memoized result is
+the computed one bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import PoleOnCircle, ZeroDenominator
-from .laurent import MAX_DEGREE, LaurentPoly
+from .laurent import MAX_DEGREE, MEMO_SIZE, LaurentPoly
 from .roots import LOC_IN, LOC_ON, LOC_OUT, Root, classify, poly_roots
 
 _GOLDEN_FRAC = 0.3819660112501051
@@ -580,42 +588,16 @@ class RationalSymbol:
     # itself are finite convolutions of the exact numerator with these
     # streams.
 
-    def _invden_split(self):
-        """(A ascending, D_in ascending, B ascending, D_out ascending)."""
-        if self._invden is not None:
-            return self._invden
-        in_vals: List[complex] = []
-        out_vals: List[complex] = []
-        for r in self.poles:
-            (in_vals if r.loc == LOC_IN else out_vals).extend([r.value] * r.mult)
-        d_in = _asc_from_zero(LaurentPoly.from_roots(in_vals))
-        d_out = _asc_from_zero(LaurentPoly.from_roots(out_vals))
-        n_in, n_out = len(in_vals), len(out_vals)
-        if n_in == 0 and n_out == 0:
-            a_arr = np.zeros(0, dtype=complex)
-            b_arr = np.zeros(0, dtype=complex)
-        elif n_in == 0:
-            a_arr = np.zeros(0, dtype=complex)
-            b_arr = np.zeros(n_out, dtype=complex)
-            b_arr[0] = 1.0
-        elif n_out == 0:
-            a_arr = np.zeros(n_in, dtype=complex)
-            a_arr[0] = 1.0
-            b_arr = np.zeros(0, dtype=complex)
-        else:
-            # solve A*D_out + B*D_in = 1 with deg A < n_in, deg B < n_out
-            size = n_in + n_out
-            M = np.zeros((size, size), dtype=complex)
-            for j in range(n_in):  # columns for A coefficients
-                M[j : j + n_out + 1, j] = d_out
-            for j in range(n_out):  # columns for B coefficients
-                M[j : j + n_in + 1, n_in + j] = d_in
-            rhs = np.zeros(size, dtype=complex)
-            rhs[0] = 1.0
-            sol = np.linalg.solve(M, rhs)
-            a_arr = sol[:n_in]
-            b_arr = sol[n_in:]
-        self._invden = (a_arr, d_in, b_arr, d_out)
+    def _invden_split(self) -> "_Split":
+        """The split of 1/den, shared with every symbol of the same poles."""
+        if self._invden is None:
+            in_vals: List[complex] = []
+            out_vals: List[complex] = []
+            for r in self.poles:
+                (in_vals if r.loc == LOC_IN else out_vals).extend([r.value] * r.mult)
+            d_in = _asc_from_zero(LaurentPoly.from_roots(in_vals))
+            d_out = _asc_from_zero(LaurentPoly.from_roots(out_vals))
+            self._invden = _split(len(in_vals), d_in.tobytes(), len(out_vals), d_out.tobytes())
         return self._invden
 
     def _invden_window(self, lo: int, hi: int) -> np.ndarray:
@@ -625,15 +607,13 @@ class RationalSymbol:
         stream gives the coefficients at -1, -2, ...; B/D_out is its own
         Taylor series at the origin.
         """
-        a_arr, d_in, b_arr, d_out = self._invden_split()
-        if not len(a_arr) and not len(b_arr):
+        split = self._invden_split()
+        if not len(split.a) and not len(split.b):
             out = np.zeros(hi - lo + 1, dtype=complex)
             if lo <= 0 <= hi:
                 out[-lo] = 1.0  # den = 1
             return out
-        return self._stream_inside(a_arr, d_in, lo, hi) + self._stream_outside(
-            b_arr, d_out, lo, hi
-        )
+        return self._stream_inside(split, lo, hi) + self._stream_outside(split, lo, hi)
 
     def fourier_range(self, lo: int, hi: int) -> np.ndarray:
         """Fourier coefficients hat f(k) for k in [lo, hi]."""
@@ -692,8 +672,8 @@ class RationalSymbol:
             # 0.0 + v, as in the sum this replaces: no negative zeros
             pos = LaurentPoly({k: 0.0 + v for k, v in num.items() if k >= 0}, scale=scale)
             return RationalSymbol._over(pos, LaurentPoly.one(), [], scale)
-        a_arr, d_in_arr, b_arr, d_out_arr = self._invden_split()
-        own, d_arr, other = (a_arr, d_in_arr, "plus") if minus else (b_arr, d_out_arr, "minus")
+        split = self._invden_split()
+        own, d_arr, other = (split.a, split.d_in, "plus") if minus else (split.b, split.d_out, "minus")
         den = LaurentPoly.from_array(0, d_arr)
         total = LaurentPoly.zero()
         if len(own):
@@ -702,7 +682,7 @@ class RationalSymbol:
             window = self._window(other, prod.norm_inf())
             if window is not None:
                 total = total - window * den
-            if not minus and not len(a_arr) and (window is None or window.is_zero):
+            if not minus and not len(split.a) and (window is None or window.is_zero):
                 return self
         window = self._window(side, num.norm_inf())
         if window is not None:
@@ -722,17 +702,17 @@ class RationalSymbol:
         (side 'minus', on [num.lo, 0)) by convolving num with the stream;
         None where that window is empty by construction."""
         num = self.num
-        a_arr, d_in_arr, b_arr, d_out_arr = self._invden_split()
+        split = self._invden_split()
         if side == "plus":
-            if not (len(a_arr) and num.hi >= 1):
+            if not (len(split.a) and num.hi >= 1):
                 return None
             lo, ks = -num.hi, range(0, num.hi)
-            stream = self._stream_inside(a_arr, d_in_arr, lo, num.hi - num.lo)
+            stream = self._stream_inside(split, lo, num.hi - num.lo)
         else:
-            if not (len(b_arr) and num.lo <= -1):
+            if not (len(split.b) and num.lo <= -1):
                 return None
             lo, ks = 0, range(num.lo, 0)
-            stream = self._stream_outside(b_arr, d_out_arr, lo, -1 - num.lo)
+            stream = self._stream_outside(split, lo, -1 - num.lo)
         acc: Dict[int, complex] = {}
         for t, v in num.items():
             for k in ks:
@@ -742,27 +722,23 @@ class RationalSymbol:
         return LaurentPoly(acc, scale=scale)
 
     @staticmethod
-    def _stream_inside(a_arr, d_in_arr, lo: int, hi: int) -> np.ndarray:
+    def _stream_inside(split: "_Split", lo: int, hi: int) -> np.ndarray:
         """Coefficients of A/D_in on [lo, hi] (supported on k <= -1)."""
         ks = np.arange(lo, hi + 1)
         out = np.zeros(len(ks), dtype=complex)
-        if lo < 0 and len(a_arr):
-            n_in = len(d_in_arr) - 1
-            a_rev = np.zeros(n_in, dtype=complex)
-            a_rev[: len(a_arr)] = a_arr
-            a_rev = a_rev[::-1]
-            stream = _series_div(a_rev, d_in_arr[::-1], -lo)
+        if lo < 0 and len(split.a):
+            stream = split.stream(LOC_IN, -lo)
             neg = ks < 0
             out[neg] = stream[(-ks[neg] - 1).astype(int)]
         return out
 
     @staticmethod
-    def _stream_outside(b_arr, d_out_arr, lo: int, hi: int) -> np.ndarray:
+    def _stream_outside(split: "_Split", lo: int, hi: int) -> np.ndarray:
         """Coefficients of B/D_out on [lo, hi] (supported on k >= 0)."""
         ks = np.arange(lo, hi + 1)
         out = np.zeros(len(ks), dtype=complex)
-        if hi >= 0 and len(b_arr):
-            stream = _series_div(b_arr, d_out_arr, hi + 1)
+        if hi >= 0 and len(split.b):
+            stream = split.stream(LOC_OUT, hi + 1)
             pos = ks >= 0
             out[pos] = stream[ks[pos].astype(int)]
         return out
@@ -918,6 +894,75 @@ def _over_union(sym: RationalSymbol, union: Sequence[Root]) -> LaurentPoly:
     return sym.num * LaurentPoly.from_roots(missing) if missing else sym.num
 
 
+class _Split:
+    """The split 1/den = A/D_in + B/D_out of one pole set (ascending arrays,
+    read-only), with the longest coefficient stream of each side computed so
+    far.  ``_series_div`` computes each coefficient from num, den and the
+    coefficients before it, so a stream is a bit-exact prefix of any longer
+    stream of the same quotient: a stream only grows, and a shorter one is
+    served as a slice.  One instance serves every symbol with these poles.
+    Plain slots, so it pickles."""
+
+    __slots__ = ("a", "d_in", "b", "d_out", "_streams")
+
+    def __init__(self, a: np.ndarray, d_in: np.ndarray, b: np.ndarray, d_out: np.ndarray):
+        for arr in (a, d_in, b, d_out):
+            arr.flags.writeable = False
+        self.a, self.d_in, self.b, self.d_out = a, d_in, b, d_out
+        self._streams = {LOC_IN: self.a[:0], LOC_OUT: self.b[:0]}
+
+    def stream(self, side: str, order: int) -> np.ndarray:
+        """The first ``order`` Taylor coefficients of rev(A)/rev(D_in) (side
+        LOC_IN: the coefficients of A/D_in at -1, -2, ...) or of B/D_out
+        (side LOC_OUT: at 0, 1, ...), read-only.  Threads racing to extend a
+        stream can only lose the longer one, never serve a wrong one."""
+        have = self._streams[side]
+        if len(have) < order:
+            if side == LOC_IN:
+                have = _series_div(self.a[::-1], self.d_in[::-1], order, have)
+            else:
+                have = _series_div(self.b, self.d_out, order, have)
+            have.flags.writeable = False
+            self._streams[side] = have
+        return have[:order]
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _split(n_in: int, d_in_key: bytes, n_out: int, d_out_key: bytes) -> _Split:
+    """The split of 1/(D_in D_out) for the monic D_in and D_out of degrees
+    n_in and n_out whose ascending coefficient arrays have the bytes
+    d_in_key and d_out_key.  These are all the Bezout solve reads, and it
+    reads no tolerance, so one pole set's split is solved once while it
+    stays among the MEMO_SIZE most recent; a raising solve is not stored."""
+    d_in = np.frombuffer(d_in_key, dtype=complex)
+    d_out = np.frombuffer(d_out_key, dtype=complex)
+    if n_in == 0 and n_out == 0:
+        a_arr = np.zeros(0, dtype=complex)
+        b_arr = np.zeros(0, dtype=complex)
+    elif n_in == 0:
+        a_arr = np.zeros(0, dtype=complex)
+        b_arr = np.zeros(n_out, dtype=complex)
+        b_arr[0] = 1.0
+    elif n_out == 0:
+        a_arr = np.zeros(n_in, dtype=complex)
+        a_arr[0] = 1.0
+        b_arr = np.zeros(0, dtype=complex)
+    else:
+        # solve A*D_out + B*D_in = 1 with deg A < n_in, deg B < n_out
+        size = n_in + n_out
+        M = np.zeros((size, size), dtype=complex)
+        for j in range(n_in):  # columns for A coefficients
+            M[j : j + n_out + 1, j] = d_out
+        for j in range(n_out):  # columns for B coefficients
+            M[j : j + n_in + 1, n_in + j] = d_in
+        rhs = np.zeros(size, dtype=complex)
+        rhs[0] = 1.0
+        sol = np.linalg.solve(M, rhs)
+        a_arr = sol[:n_in]
+        b_arr = sol[n_in:]
+    return _Split(a_arr, d_in, b_arr, d_out)
+
+
 def _combine_repeats(roots: List[Root]) -> List[Root]:
     """Merge root entries that refer to the same clustered value."""
     out: List[List] = []
@@ -1019,11 +1064,13 @@ def _deflate_root(coeffs_asc: np.ndarray, v: complex) -> np.ndarray:
     return q
 
 
-def _series_div(num: np.ndarray, den: np.ndarray, order: int) -> np.ndarray:
-    """Power-series quotient num/den to the given order (den[0] != 0)."""
+def _series_div(num: np.ndarray, den: np.ndarray, order: int, head: np.ndarray = ()) -> np.ndarray:
+    """Power-series quotient num/den to the given order (den[0] != 0),
+    continuing ``head``, the same quotient to a lower order."""
     out = np.zeros(order, dtype=complex)
+    out[: len(head)] = head
     d0 = den[0]
-    for i in range(order):
+    for i in range(len(head), order):
         acc = num[i] if i < len(num) else 0.0
         for j in range(1, min(i, len(den) - 1) + 1):
             acc -= den[j] * out[i - j]

@@ -277,8 +277,25 @@ def test_window_below_minimum_is_usage_error(capsys, argv):
         (["kernel", "--type", "paired", "--b", B_JSON], "--a"),
         (["kernel", "--type", "toeplitz"], "--g"),
         (["apply", "--type", "paired", "--a", A_JSON, "--b", B_JSON], "--f"),
+        (["factor", "--wh"], "--g"),
+        (["factor", "--wh", "--f", WH_G], "--g"),
+        (["factor", "--side", "minus"], "--f or --g"),
+        (["commutator", "--type", "toeplitz", "--g", A_JSON], "--type paired|transposed"),
+        (["commutator", "--type", "hankel", "--g", A_JSON], "--type paired|transposed"),
+        (["commutator", "--type", "paired", "--a", A_JSON, "--b", B_JSON], "--g"),
     ],
-    ids=["kernel-hankel", "kernel-paired-no-a", "kernel-toeplitz-no-g", "apply-no-f"],
+    ids=[
+        "kernel-hankel",
+        "kernel-paired-no-a",
+        "kernel-toeplitz-no-g",
+        "apply-no-f",
+        "factor-wh-no-g",
+        "factor-wh-f-only",
+        "factor-no-symbol",
+        "commutator-toeplitz",
+        "commutator-hankel",
+        "commutator-no-g",
+    ],
 )
 def test_missing_or_unsupported_symbol_is_usage_error(capsys, argv, missing):
     assert main(argv) == 2
@@ -286,6 +303,38 @@ def test_missing_or_unsupported_symbol_is_usage_error(capsys, argv, missing):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
     assert missing in captured.err
+
+
+@pytest.mark.parametrize(
+    "symbol, error",
+    [
+        ('{"coeffs":{"0":1}}', "TypeError"),
+        ('{"zpow":0,"zeros":[],"poles":[{"z":[0.5,0]}]}', "KeyError"),
+        ('{"gain":[1],"zpow":0}', "IndexError"),
+        ('{"gain":[1,0],"poles":[{"z":[0.5,0],"loc":"far"}]}', "ValueError"),
+        ("[1, 2]", "TypeError"),
+    ],
+    ids=["coeff-not-a-pair", "zpk-without-gain", "short-gain", "bad-location", "not-an-object"],
+)
+def test_malformed_symbol_json_is_usage_error(capsys, tmp_path, symbol, error):
+    path = tmp_path / "g.json"
+    path.write_text(symbol)
+    for g in (symbol, str(path)):
+        assert main(["kernel", "--type", "toeplitz", "--g", g]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: bad symbol JSON")
+        assert error in captured.err
+
+
+def test_unreadable_symbol_file_is_usage_error(capsys, tmp_path):
+    binary = tmp_path / "g.bin"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for g in (str(tmp_path), str(binary)):
+        assert main(["kernel", "--type", "toeplitz", "--g", g]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: bad symbol JSON")
 
 
 @pytest.mark.parametrize("kind", ["paired", "transposed"])
