@@ -20,12 +20,19 @@ paired kernel phi_+ + phi_- = 1/g_plus - z^kappa g_minus (the paper's
 O_+ - I_- O_-), for the transposed kernel q/(g_plus b) (its O_+/b).
 
 The oracle truncates the operator once, at window N, and counts the small
-singular values of that matrix.  Its stability check repeats the count, from
-singular values alone, on the N/2 sub-block of the same matrix.
+singular values of that matrix; the count reads singular values only, and
+the candidate vectors come from one vector SVD made when
+``OracleResult.candidates`` is first read.  Its stability check repeats the
+count on the N/2 sub-block of the same matrix.  For a nontrivial kernel the
+gap divides by a singular value at roundoff level, so its digits are
+roundoff: only ``gap >= GAP_MIN`` certifies the dimension.  ``stable`` false
+flags kernel elements whose tails decay too slowly for the N/2 window to
+hold them, not a wrong dimension at N.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -508,10 +515,25 @@ def span_defect(
 class OracleResult:
     dim_estimate: int
     gap: float
-    candidates: np.ndarray  # rows: kernel candidates over kept column indices
+    matrix: np.ndarray = field(repr=False)  # the trimmed truncation, read-only
     kept_indices: np.ndarray
     stable: Optional[bool]
     sigma_max: float
+
+    @functools.cached_property
+    def candidates(self) -> np.ndarray:
+        """Rows: kernel candidates over the kept column indices.  The right
+        singular vectors of ``matrix`` for its dim_estimate smallest singular
+        values, from one vector SVD made on first read (every column of a
+        zero matrix, none for dimension 0)."""
+        A = self.matrix
+        if self.sigma_max == 0.0:
+            return np.eye(A.shape[1], dtype=complex)
+        if not self.dim_estimate:
+            return np.zeros((0, A.shape[1]), dtype=complex)
+        # A is tall unless it is zero, so the reduced vh is the full one
+        vh = np.linalg.svd(A, full_matrices=False)[2]
+        return vh[len(vh) - self.dim_estimate :].conj()
 
     def to_json(self):
         return {
@@ -564,9 +586,16 @@ def kernel_oracle(node, N: int, rank_tol: Optional[float] = None) -> OracleResul
     """SVD-based kernel dimension estimate with an edge buffer and a
     stability cross-check at half the window size.
 
-    The operator is truncated once, at N.  The cross-check counts the kernel
-    of its N/2 sub-block (rows |k| <= N/2 + d, columns |j| <= N/2, the same
-    edge trim) from the singular values alone."""
+    The operator is truncated once, at N, and the dimension, gap and
+    sigma_max are read off its singular values alone; the result keeps the
+    trimmed matrix, and its ``candidates`` are computed on first read.  The
+    cross-check counts the kernel of the N/2 sub-block (rows |k| <= N/2 + d,
+    columns |j| <= N/2, the same edge trim) the same way, and ``stable`` is
+    false when the two counts differ: kernel tails too slow for the N/2
+    window, not a wrong dimension.  For a nontrivial kernel the gap is
+    sigma_above / sigma_below with sigma_below at roundoff level (it reads
+    inf where that value is exactly 0), so only ``gap >= GAP_MIN`` is
+    meaningful; below it OracleIndeterminate is raised."""
     node = build(node)
     least = oracle_min_window(node)
     if N < least:
@@ -574,18 +603,13 @@ def kernel_oracle(node, N: int, rank_tol: Optional[float] = None) -> OracleResul
     rank_tol = tol.RANK_TOL if rank_tol is None else rank_tol
     M, d = truncate(node, N), bandwidth(node)
     A, kept = _oracle_window(M, N, d)
-    # A is tall unless it is zero, so the reduced vh is the full one
-    _, s, vh = np.linalg.svd(A, full_matrices=False)
-    dim, gap, smax = _kernel_count(s, A.shape[1], rank_tol)
-    if smax == 0.0:
-        cands = np.eye(A.shape[1], dtype=complex)
-    else:
-        cands = vh[len(s) - dim :].conj() if dim else np.zeros((0, A.shape[1]), dtype=complex)
+    A.flags.writeable = False
+    dim, gap, smax = _kernel_count(np.linalg.svd(A, compute_uv=False), A.shape[1], rank_tol)
     stable = None
     if N // 2 >= least:
         half, _ = _oracle_window(M, N // 2, d)
         stable = _kernel_count(np.linalg.svd(half, compute_uv=False), half.shape[1], rank_tol)[0] == dim
-    result = OracleResult(dim, gap, cands, kept, stable, smax)
+    result = OracleResult(dim, gap, A, kept, stable, smax)
     if gap < tol.GAP_MIN:
         raise OracleIndeterminate(f"kernel oracle gap {gap:.3g} below certificate", result)
     return result
@@ -594,7 +618,9 @@ def kernel_oracle(node, N: int, rank_tol: Optional[float] = None) -> OracleResul
 def principal_angle(
     oracle: OracleResult, exact: Sequence[RationalSymbol]
 ) -> float:
-    """Largest principal angle between the oracle candidates and the exact span."""
+    """Largest principal angle between the oracle candidates and the exact
+    span.  Reading ``oracle.candidates`` makes the oracle's one vector SVD
+    the first time."""
     exact = list(exact)
     if not exact or oracle.dim_estimate == 0:
         return 0.0 if not exact and oracle.dim_estimate == 0 else float("nan")

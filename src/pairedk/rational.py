@@ -673,11 +673,11 @@ class RationalSymbol:
             pos = LaurentPoly({k: 0.0 + v for k, v in num.items() if k >= 0}, scale=scale)
             return RationalSymbol._over(pos, LaurentPoly.one(), [], scale)
         split = self._invden_split()
-        own, d_arr, other = (split.a, split.d_in, "plus") if minus else (split.b, split.d_out, "minus")
-        den = LaurentPoly.from_array(0, d_arr)
+        den, own = split.laurent(LOC_IN if minus else LOC_OUT)
+        other = "plus" if minus else "minus"
         total = LaurentPoly.zero()
-        if len(own):
-            prod = num * LaurentPoly.from_array(0, own)
+        if own is not None:
+            prod = num * own
             total = total + prod
             window = self._window(other, prod.norm_inf())
             if window is not None:
@@ -900,16 +900,29 @@ class _Split:
     far.  ``_series_div`` computes each coefficient from num, den and the
     coefficients before it, so a stream is a bit-exact prefix of any longer
     stream of the same quotient: a stream only grows, and a shorter one is
-    served as a slice.  One instance serves every symbol with these poles.
-    Plain slots, so it pickles."""
+    served as a slice.  The Laurent forms of D_in, A, D_out and B are built
+    on first use.  One instance serves every symbol with these poles.  Plain
+    slots, so it pickles."""
 
-    __slots__ = ("a", "d_in", "b", "d_out", "_streams")
+    __slots__ = ("a", "d_in", "b", "d_out", "_streams", "_laurent")
 
     def __init__(self, a: np.ndarray, d_in: np.ndarray, b: np.ndarray, d_out: np.ndarray):
         for arr in (a, d_in, b, d_out):
             arr.flags.writeable = False
         self.a, self.d_in, self.b, self.d_out = a, d_in, b, d_out
         self._streams = {LOC_IN: self.a[:0], LOC_OUT: self.b[:0]}
+        self._laurent: Dict[str, Tuple[LaurentPoly, Optional[LaurentPoly]]] = {}
+
+    def laurent(self, side: str) -> Tuple[LaurentPoly, Optional[LaurentPoly]]:
+        """(D_in, A) for side LOC_IN or (D_out, B) for side LOC_OUT as shared
+        (immutable) Laurent polynomials; the second is None where that side
+        has no poles."""
+        pair = self._laurent.get(side)
+        if pair is None:
+            own, den = (self.a, self.d_in) if side == LOC_IN else (self.b, self.d_out)
+            pair = (LaurentPoly.from_array(0, den), LaurentPoly.from_array(0, own) if len(own) else None)
+            self._laurent[side] = pair
+        return pair
 
     def stream(self, side: str, order: int) -> np.ndarray:
         """The first ``order`` Taylor coefficients of rev(A)/rev(D_in) (side

@@ -364,3 +364,39 @@ def test_kernel_query_factors_once_and_reads_its_witness_off_the_basis(monkeypat
 
         first = (RationalSymbol.from_json(first["plus"]) + RationalSymbol.from_json(first["minus"])).to_json()
     assert data["witness"] == first
+
+
+def test_kernel_query_makes_no_vector_svd(capsys, monkeypatch):
+    # the oracle counts from singular values alone; no CLI field reads the
+    # candidate vectors
+    import numpy as np
+
+    calls, svd = [], np.linalg.svd
+
+    def spy_svd(a, *args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy_svd)
+    code, data = run_cli(capsys, "kernel", "--type", "paired", "--a", A_JSON, "--b", B_JSON, "--N", "64")
+    assert code == 0 and data["oracle"]["dim_estimate"] == 1
+    assert calls == [False, False]
+
+
+def test_python_m_pairedk_matches_in_process_main(capsys):
+    # the README's first kernel example, run as `python -m pairedk` from the
+    # source tree
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    argv = ["kernel", "--type", "paired", "--a", A_JSON, "--b", B_JSON]
+    code = main(argv)
+    out = capsys.readouterr().out
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pairedk", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stdout) == (code, out)
+    assert code == 0 and json.loads(out)["dimension"] == 1

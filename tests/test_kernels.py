@@ -486,6 +486,8 @@ def test_oracle_agreement_with_exact_kernels():
 
 
 def test_oracle_truncates_once_and_takes_one_vector_svd(monkeypatch):
+    # the count reads two values-only SVDs (N and N/2); the one vector SVD
+    # is made when the candidates are first read, and never again
     import pairedk.kernels as K
 
     truncations, svds = [], []
@@ -504,7 +506,62 @@ def test_oracle_truncates_once_and_takes_one_vector_svd(monkeypatch):
     res = kernel_oracle(Paired(R.const(1), R.monomial(1)), 64)
     assert res.dim_estimate == 1 and res.stable is True
     assert truncations == [64]
-    assert svds == [True, False]
+    assert svds == [False, False]
+    assert res.candidates.shape == (1, res.matrix.shape[1])
+    assert svds == [False, False, True]
+    assert res.candidates is res.candidates
+    assert svds == [False, False, True]
+
+
+def _oracle_nodes():
+    """Sampled paired, transposed and Toeplitz nodes with kernels of
+    dimension 1 to 3, plus a dimension-0 node and a zero matrix."""
+    rng = trial_rng(41, 3)
+    prof = SamplerProfile(degree_bound=2, inside_annulus=(0.25, 0.6), outside_annulus=(1.6, 4.0))
+    nodes = []
+    for i in range(3):
+        pair = sample_pair_with_kernel(prof, rng, i + 1, "invertible")
+        nodes += [Paired(pair.a, pair.b), Transposed(pair.a, pair.b), Toeplitz(pair.quotient())]
+    return nodes + [Toeplitz(R.monomial(1)), Paired(R.zero(), R.zero())]
+
+
+def test_oracle_candidates_equal_a_fresh_vector_svd():
+    from pairedk.kernels import _oracle_window
+    from pairedk.operators import bandwidth, truncate
+
+    dims = []
+    for node in _oracle_nodes():
+        res = kernel_oracle(node, 64)
+        A, kept = _oracle_window(truncate(node, 64), 64, bandwidth(node))
+        assert np.array_equal(res.matrix, A) and np.array_equal(res.kept_indices, kept)
+        assert not res.matrix.flags.writeable
+        dim = res.dim_estimate
+        if res.sigma_max == 0.0:
+            want = np.eye(A.shape[1], dtype=complex)
+        else:
+            _, s, vh = np.linalg.svd(A, full_matrices=False)
+            want = vh[len(s) - dim :].conj()
+        got = res.candidates
+        assert got.dtype == want.dtype and got.shape == (dim, A.shape[1])
+        assert np.array_equal(got, want)
+        dims.append(dim)
+    assert dims[-2] == 0 and dims[-1] == 2 * 64 + 1 and max(dims[:-2]) >= 2
+
+
+def test_oracle_result_pickles_before_and_after_candidates_are_read():
+    import pickle
+
+    res = kernel_oracle(Paired(R.const(1), R.monomial(1)), 64)
+    cold = pickle.loads(pickle.dumps(res))
+    assert "candidates" not in vars(cold)
+    cands = res.candidates
+    warm = pickle.loads(pickle.dumps(res))
+    assert "candidates" in vars(warm)
+    for copy in (cold, warm):
+        assert copy.to_json() == res.to_json()
+        assert np.array_equal(copy.matrix, res.matrix)
+        assert np.array_equal(copy.kept_indices, res.kept_indices)
+        assert np.array_equal(copy.candidates, cands)
 
 
 def _with_poles(gain, zeros, poles):
