@@ -511,7 +511,7 @@ def span_defect(
 # numerical kernel oracle
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleResult:
     dim_estimate: int
     gap: float

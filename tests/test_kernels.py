@@ -564,6 +564,14 @@ def test_oracle_result_pickles_before_and_after_candidates_are_read():
         assert np.array_equal(copy.candidates, cands)
 
 
+def test_oracle_results_compare_and_hash_by_identity():
+    node = Paired(R.const(1), R.monomial(1))
+    res, again = kernel_oracle(node, 64), kernel_oracle(node, 64)
+    # array fields admit no elementwise ==, so equality is identity
+    assert res == res and res != again
+    assert len({res, again, res}) == 2 and hash(res) == hash(res)
+
+
 def _with_poles(gain, zeros, poles):
     from pairedk.roots import LOC_IN, LOC_OUT, Root
 
