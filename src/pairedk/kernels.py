@@ -472,11 +472,11 @@ def coeff_matrix(elems: Sequence[RationalSymbol], half_width: Optional[int] = No
     return np.vstack([e.fourier_range(-K, K) for e in elems])
 
 
-def span_rank(elems: Sequence[RationalSymbol], rank_tol: Optional[float] = None) -> int:
+def span_rank(elems: Sequence[RationalSymbol]) -> int:
     M = coeff_matrix(elems)
     if M.shape[0] == 0:
         return 0
-    res = numerical_rank(M, rank_tol)
+    res = numerical_rank(M)
     if res.indeterminate:
         raise OracleIndeterminate("span rank lacks a spectral gap", res)
     return res.rank
@@ -487,11 +487,7 @@ def linearly_independent(elems: Sequence[RationalSymbol]) -> bool:
     return span_rank(elems) == len(elems)
 
 
-def span_defect(
-    basis: Sequence[RationalSymbol],
-    images: Sequence[RationalSymbol],
-    rank_tol: Optional[float] = None,
-) -> int:
+def span_defect(basis: Sequence[RationalSymbol], images: Sequence[RationalSymbol]) -> int:
     """dim(span(basis + images)) - dim(span(basis)), gap-certified."""
     basis = list(basis)
     images = list(images)
@@ -500,8 +496,8 @@ def span_defect(
     K = decay_window(basis + images)
     M0 = coeff_matrix(basis, K)
     M1 = coeff_matrix(basis + images, K)
-    r0 = numerical_rank(M0, rank_tol) if len(basis) else None
-    r1 = numerical_rank(M1, rank_tol)
+    r0 = numerical_rank(M0) if len(basis) else None
+    r1 = numerical_rank(M1)
     if (r0 is not None and r0.indeterminate) or r1.indeterminate:
         raise OracleIndeterminate("defect computation lacks a spectral gap", r1)
     return r1.rank - (r0.rank if r0 is not None else 0)
@@ -582,7 +578,7 @@ def oracle_min_window(node) -> int:
     return 2 * max(bandwidth(node), 1)
 
 
-def kernel_oracle(node, N: int, rank_tol: Optional[float] = None) -> OracleResult:
+def kernel_oracle(node, N: int) -> OracleResult:
     """SVD-based kernel dimension estimate with an edge buffer and a
     stability cross-check at half the window size.
 
@@ -600,15 +596,14 @@ def kernel_oracle(node, N: int, rank_tol: Optional[float] = None) -> OracleResul
     least = oracle_min_window(node)
     if N < least:
         raise ValueError("oracle window must be at least twice the bandwidth")
-    rank_tol = tol.RANK_TOL if rank_tol is None else rank_tol
     M, d = truncate(node, N), bandwidth(node)
     A, kept = _oracle_window(M, N, d)
     A.flags.writeable = False
-    dim, gap, smax = _kernel_count(np.linalg.svd(A, compute_uv=False), A.shape[1], rank_tol)
+    dim, gap, smax = _kernel_count(np.linalg.svd(A, compute_uv=False), A.shape[1], tol.RANK_TOL)
     stable = None
     if N // 2 >= least:
         half, _ = _oracle_window(M, N // 2, d)
-        stable = _kernel_count(np.linalg.svd(half, compute_uv=False), half.shape[1], rank_tol)[0] == dim
+        stable = _kernel_count(np.linalg.svd(half, compute_uv=False), half.shape[1], tol.RANK_TOL)[0] == dim
     result = OracleResult(dim, gap, A, kept, stable, smax)
     if gap < tol.GAP_MIN:
         raise OracleIndeterminate(f"kernel oracle gap {gap:.3g} below certificate", result)

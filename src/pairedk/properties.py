@@ -23,6 +23,8 @@ from .errors import PairedKError, UnknownProperty
 from .factorization import winding_index
 from .kernels import (
     SymbolPair,
+    _has_minus_inner_factor,
+    _has_plus_inner_factor,
     kernel_oracle,
     kernels_equal_S,
     j_map,
@@ -142,10 +144,6 @@ def _probe_functions(rng, count: int = 2) -> List[RationalSymbol]:
     return probes
 
 
-def _sup(s: RationalSymbol) -> float:
-    return s.sup_circle()
-
-
 def _coeff_scale(s: RationalSymbol, k: int = 12) -> float:
     if s.is_zero:
         return 0.0
@@ -197,7 +195,7 @@ def _p_norm(rng, cfg):
         b = sample_symbol(inner_prof, rng) * complex(rng.uniform(0.5, 2.0))
     else:
         b = a * complex(rng.uniform(0.5, 1.5))  # aligned moduli push toward the upper bound
-    sup_a, sup_b = _sup(a), _sup(b)
+    sup_a, sup_b = a.sup_circle(), b.sup_circle()
     m = max(sup_a, sup_b)
     upper = min(sup_a + sup_b, math.sqrt(2.0) * m)
     norm = operator_norm(Paired(a, b), NORM_N)
@@ -749,12 +747,7 @@ def _p_sigma_incl(rng, cfg):
                 return False, {"reason": "claimed inclusion fails elementwise"}
         if verdict == "equal" and kb_p.dimension != kb_q.dimension:
             return False, {"reason": "claimed equality with different dimensions"}
-        has_inner = (
-            h_plus.zpow > 0
-            or h_plus.zeros_at(LOC_IN) > 0
-            or h_minus.delta_infinity < 0
-            or h_minus.zeros_at(LOC_OUT) > 0
-        )
+        has_inner = _has_plus_inner_factor(h_plus) or _has_minus_inner_factor(h_minus)
         if has_inner and kb_p.dimension == kb_q.dimension:
             return False, {"reason": "inner multiplier but inclusion is not strict"}
     # ordered model spaces

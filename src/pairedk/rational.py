@@ -16,6 +16,11 @@ projections never read zeros.  The product's proximity gate (a zero within
 distance bound first: where Fujiwara's bound on the Taylor-shifted numerator
 keeps every zero far from every pole, no zero is located.
 
+Every coefficient window of num/den, Fourier or Riesz, is one convolution:
+``RationalSymbol._convolve`` convolves num with a window of the split
+1/den = A/D_in + B/D_out, and only ``_Split.window`` knows how the split's
+coefficient streams are indexed.
+
 Denominator data depends on the poles alone and is memoized on exact bit
 keys: ``LaurentPoly.from_roots`` on the bits of its lead and sorted roots,
 the Bezout split of 1/den on the bits of the two denominator factors it
@@ -542,15 +547,15 @@ class RationalSymbol:
             return 0.0 + 0.0j
         return self.num.eval(z) / self.den.eval(z)
 
-    def equals(self, other, rel: float | None = None) -> bool:
-        """Exact equality as rational functions.
+    def equals(self, other) -> bool:
+        """Exact equality as rational functions, to a relative EPS_EQ.
 
         Primary test: cross-multiplied coefficient residual.  When that lands
         in the marginal band just above the tolerance (the cross product can
         amplify conditioning of clustered roots), fall back to comparing
         Fourier coefficient windows, which are computed stably.
         """
-        rel = tol.EPS_EQ if rel is None else rel
+        rel = tol.EPS_EQ
         if isinstance(other, (int, float, complex)):
             other = RationalSymbol.const(other)
         if self.is_zero and other.is_zero:
@@ -565,16 +570,16 @@ class RationalSymbol:
             return True
         if resid > 1e4 * rel or self.has_circle_pole or other.has_circle_pole:
             return False
-        return self._window_close(other, rel)
+        return self._window_close(other)
 
-    def _window_close(self, other: "RationalSymbol", rel: float) -> bool:
+    def _window_close(self, other: "RationalSymbol") -> bool:
         K = decay_window([self, other])  # neither has a circle pole
         wa = self.fourier_range(-K, K)
         wb = other.fourier_range(-K, K)
         scale = max(float(np.abs(wa).max()), float(np.abs(wb).max()))
         if scale == 0.0:
             return True
-        return float(np.abs(wa - wb).max()) <= rel * scale
+        return float(np.abs(wa - wb).max()) <= tol.EPS_EQ * scale
 
     # ------------------------------------------------------------------
     # Fourier data
@@ -586,9 +591,10 @@ class RationalSymbol:
     # GROUPS across the circle, never by distances within a group.  The
     # coefficient streams of A/D_in (negative indices) and B/D_out
     # (nonnegative indices) follow from series-division recurrences that are
-    # stable precisely because of where the roots live.  Coefficients of f
-    # itself are finite convolutions of the exact numerator with these
-    # streams.
+    # stable precisely because of where the roots live.  ``_Split.window``
+    # reads them on an index range; ``_convolve`` convolves the exact
+    # numerator with both sides (the coefficients of f) or one (each window
+    # a Riesz projection adds).
 
     def _invden_split(self) -> "_Split":
         """The split of 1/den, shared with every symbol of the same poles
@@ -603,35 +609,30 @@ class RationalSymbol:
             self._invden = _split(len(in_vals), d_in.tobytes(), len(out_vals), d_out.tobytes())
         return self._invden
 
-    def _invden_window(self, lo: int, hi: int) -> np.ndarray:
-        """Fourier coefficients of 1/den on [lo, hi] via stable recurrences.
-
-        A/D_in at z = 1/w equals w * rev(A)(w)/rev(D_in)(w), whose Taylor
-        stream gives the coefficients at -1, -2, ...; B/D_out is its own
-        Taylor series at the origin.
-        """
+    def _convolve(self, sides: Sequence[str], lo: int, hi: int) -> np.ndarray:
+        """Coefficients on [lo, hi] of num times the given sides of the
+        split: A/D_in (LOC_IN) and B/D_out (LOC_OUT)."""
+        num = self.num
+        out = np.zeros(hi - lo + 1, dtype=complex)
         split = self._invden_split()
-        return self._stream_inside(split, lo, hi) + self._stream_outside(split, lo, hi)
+        w = sum(split.window(side, lo - num.hi, hi - num.lo) for side in sides)
+        for t, v in num.items():
+            # out(k) += v * w(k - t) for k in [lo, hi]
+            start = num.hi - t
+            out += v * w[start : start + len(out)]
+        return out
 
     def fourier_range(self, lo: int, hi: int) -> np.ndarray:
         """Fourier coefficients hat f(k) for k in [lo, hi]."""
-        out = np.zeros(hi - lo + 1, dtype=complex)
-        if self.is_zero:
-            return out
         if self.has_circle_pole:
             raise PoleOnCircle("Fourier coefficients need a pole-free circle")
-        num = self.num
-        if not self.poles:
-            for k, v in num.items():
+        if self.is_zero or not self.poles:
+            out = np.zeros(hi - lo + 1, dtype=complex)
+            for k, v in self.num.items():
                 if lo <= k <= hi:
                     out[k - lo] += v
             return out
-        w = self._invden_window(lo - num.hi, hi - num.lo)
-        for t, v in num.items():
-            # hat f(k) += v * hat(1/den)(k - t) for k in [lo, hi]
-            start = lo - t - (lo - num.hi)
-            out += v * w[start : start + len(out)]
-        return out
+        return self._convolve((LOC_IN, LOC_OUT), lo, hi)
 
     def fourier(self, k: int) -> complex:
         return complex(self.fourier_range(k, k)[0])
@@ -676,15 +677,11 @@ class RationalSymbol:
         total = LaurentPoly.zero()
         if len(own):
             prod = num * LaurentPoly.from_array(0, own)
-            total = total + prod
             window = self._window(other, prod.norm_inf())
-            if window is not None:
-                total = total - window * den
-            if not minus and not len(split.a) and (window is None or window.is_zero):
+            total = total + prod - window * den
+            if not minus and not len(split.a) and window.is_zero:
                 return self
-        window = self._window(side, num.norm_inf())
-        if window is not None:
-            total = total + window * den
+        total = total + self._window(side, num.norm_inf()) * den
         kept = [r for r in self.poles if (r.loc == LOC_IN) == minus]
         return RationalSymbol._over(total, den, kept, 0.0 if minus else num.norm_inf())
 
@@ -695,51 +692,16 @@ class RationalSymbol:
             return RationalSymbol.zero()
         return RationalSymbol.from_fraction(num, den, den_roots=den_roots)
 
-    def _window(self, side: str, scale: float) -> Optional[LaurentPoly]:
+    def _window(self, side: str, scale: float) -> LaurentPoly:
         """[num*A/D_in]_+ (side 'plus', on [0, num.hi)) or [num*B/D_out]_-
-        (side 'minus', on [num.lo, 0)) by convolving num with the stream;
-        None where that window is empty by construction."""
-        num = self.num
-        split = self._invden_split()
-        if side == "plus":
-            if not (len(split.a) and num.hi >= 1):
-                return None
-            lo, ks = -num.hi, range(0, num.hi)
-            stream = self._stream_inside(split, lo, num.hi - num.lo)
-        else:
-            if not (len(split.b) and num.lo <= -1):
-                return None
-            lo, ks = 0, range(num.lo, 0)
-            stream = self._stream_outside(split, lo, -1 - num.lo)
-        acc: Dict[int, complex] = {}
-        for t, v in num.items():
-            for k in ks:
-                idx = k - t - lo
-                if 0 <= idx < len(stream):
-                    acc[k] = acc.get(k, 0.0) + v * stream[idx]
-        return LaurentPoly(acc, scale=scale)
-
-    @staticmethod
-    def _stream_inside(split: "_Split", lo: int, hi: int) -> np.ndarray:
-        """Coefficients of A/D_in on [lo, hi] (supported on k <= -1)."""
-        ks = np.arange(lo, hi + 1)
-        out = np.zeros(len(ks), dtype=complex)
-        if lo < 0 and len(split.a):
-            stream = split.stream(LOC_IN, -lo)
-            neg = ks < 0
-            out[neg] = stream[(-ks[neg] - 1).astype(int)]
-        return out
-
-    @staticmethod
-    def _stream_outside(split: "_Split", lo: int, hi: int) -> np.ndarray:
-        """Coefficients of B/D_out on [lo, hi] (supported on k >= 0)."""
-        ks = np.arange(lo, hi + 1)
-        out = np.zeros(len(ks), dtype=complex)
-        if hi >= 0 and len(split.b):
-            stream = split.stream(LOC_OUT, hi + 1)
-            pos = ks >= 0
-            out[pos] = stream[ks[pos].astype(int)]
-        return out
+        (side 'minus', on [num.lo, 0)); zero where that range is empty or
+        the split has no poles on that side."""
+        num, split = self.num, self._invden_split()
+        plus = side == "plus"
+        loc, lo, hi = (LOC_IN, 0, num.hi - 1) if plus else (LOC_OUT, num.lo, -1)
+        if hi < lo or not len(split.a if plus else split.b):
+            return LaurentPoly.zero()
+        return LaurentPoly(dict(enumerate(self._convolve((loc,), lo, hi).tolist(), lo)), scale=scale)
 
     # ------------------------------------------------------------------
     # membership
@@ -901,8 +863,10 @@ class _Split:
     served as a slice.  Both pay: recomputing every stream made the
     identities and truncations workloads about 1.09x as long, and computing
     a longer stream afresh instead of continuing the kept one cost the
-    truncations workload 7 % of its operations per second.  One instance
-    serves every symbol with these poles.  Plain slots, so it pickles."""
+    truncations workload 7 % of its operations per second.  ``window``
+    reads either side on an index range and is the only reader of a
+    stream's layout.  One instance serves every symbol with these poles.
+    Plain slots, so it pickles."""
 
     __slots__ = ("a", "d_in", "b", "d_out", "_streams")
 
@@ -914,9 +878,9 @@ class _Split:
 
     def stream(self, side: str, order: int) -> np.ndarray:
         """The first ``order`` Taylor coefficients of rev(A)/rev(D_in) (side
-        LOC_IN: the coefficients of A/D_in at -1, -2, ...) or of B/D_out
-        (side LOC_OUT: at 0, 1, ...), read-only.  Threads racing to extend a
-        stream can only lose the longer one, never serve a wrong one."""
+        LOC_IN) or of B/D_out (side LOC_OUT), read-only.  Threads racing to
+        extend a stream can only lose the longer one, never serve a wrong
+        one."""
         have = self._streams[side]
         if len(have) < order:
             if side == LOC_IN:
@@ -926,6 +890,23 @@ class _Split:
             have.flags.writeable = False
             self._streams[side] = have
         return have[:order]
+
+    def window(self, side: str, lo: int, hi: int) -> np.ndarray:
+        """Coefficients on [lo, hi] of A/D_in (side LOC_IN, supported on
+        k <= -1) or of B/D_out (side LOC_OUT, supported on k >= 0).  A/D_in
+        at z = 1/w is w * rev(A)(w)/rev(D_in)(w), so its coefficient at k is
+        the inside stream's at -k-1; B/D_out is its own Taylor series, read
+        at k."""
+        out = np.zeros(hi - lo + 1, dtype=complex)
+        if side == LOC_IN:
+            top = min(hi, -1)
+            if top >= lo and len(self.a):
+                out[: top - lo + 1] = self.stream(LOC_IN, -lo)[-top - 1 :][::-1]
+        else:
+            start = max(lo, 0)
+            if start <= hi and len(self.b):
+                out[start - lo :] = self.stream(LOC_OUT, hi + 1)[start:]
+        return out
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
@@ -1029,19 +1010,6 @@ def _polymag_asc(arr: np.ndarray, v: complex) -> float:
     return out
 
 
-def _syndiv(coeffs_asc: np.ndarray, v: complex):
-    """Divide polynomial (ascending coeffs) by (z - v): return (remainder, quotient)."""
-    n = len(coeffs_asc)
-    if n == 0:
-        return 0.0 + 0.0j, coeffs_asc
-    q = np.zeros(n - 1, dtype=complex)
-    acc = coeffs_asc[-1]
-    for j in range(n - 2, -1, -1):
-        q[j] = acc
-        acc = coeffs_asc[j] + acc * v
-    return acc, q
-
-
 def _deflate_root(coeffs_asc: np.ndarray, v: complex) -> np.ndarray:
     """Divide by (z - v) assuming v is a root.
 
@@ -1051,10 +1019,13 @@ def _deflate_root(coeffs_asc: np.ndarray, v: complex) -> np.ndarray:
     n = len(coeffs_asc)
     if n <= 1:
         return np.zeros(0, dtype=complex)
-    if abs(v) <= 1.0:
-        _, q = _syndiv(coeffs_asc, v)
-        return q
     q = np.zeros(n - 1, dtype=complex)
+    if abs(v) <= 1.0:
+        acc = coeffs_asc[-1]
+        for j in range(n - 2, -1, -1):
+            q[j] = acc
+            acc = coeffs_asc[j] + acc * v
+        return q
     acc = -coeffs_asc[0] / v
     q[0] = acc
     for j in range(1, n - 1):

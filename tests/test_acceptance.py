@@ -93,7 +93,7 @@ def test_criterion_03_kernel_dimension_vs_index():
         g = sample_quotient_with_winding(prof, rng, kappa)
         kb = toeplitz_kernel(g)
         assert kb.dimension == max(0, -winding_index(g))
-        oracle = kernel_oracle(Toeplitz(g), 64, 1e-10)
+        oracle = kernel_oracle(Toeplitz(g), 64)  # at the default RANK_TOL, 1e-10
         assert oracle.dim_estimate == kb.dimension
         assert oracle.gap >= 1e3
         if kb.dimension:

@@ -232,9 +232,9 @@ def test_config_rank_tol_is_used_and_restored(tmp_path, capsys, monkeypatch):
     seen = []
     oracle, rank = cli.kernel_oracle, cli.numerical_rank
 
-    def spy_oracle(node, N, rank_tol=None):
-        seen.append(("kernel", tol.RANK_TOL if rank_tol is None else rank_tol))
-        return oracle(node, N, rank_tol)
+    def spy_oracle(node, N):
+        seen.append(("kernel", tol.RANK_TOL))
+        return oracle(node, N)
 
     def spy_rank(M, rank_tol=None):
         seen.append(("commutator", tol.RANK_TOL if rank_tol is None else rank_tol))

@@ -96,6 +96,27 @@ def test_fourier_window_against_fft():
     assert np.abs(got - want).max() < 1e-12
 
 
+@pytest.mark.parametrize("gap", [1e-4, 1e-5, 1e-6, 1e-7])
+def test_nearby_roots_stay_distinct(gap):
+    # a zero that close to a pole must not cancel it, and two simple poles
+    # that close must not merge into one: both are far outside EPS_CANCEL
+    pole = 0.5 + 0.1j
+    ratio = {
+        "gain": [1.0, 0.0],
+        "zeros": [{"z": [pole.real + gap, pole.imag]}],
+        "poles": [{"z": [pole.real, pole.imag]}],
+    }
+    simple = [{"gain": [1.0, 0.0], "poles": [{"z": [v.real, v.imag]}]} for v in (pole, pole + gap)]
+    z = fc.circle_grid(4096)
+    cases = [
+        (R.from_json(ratio), fc.eval_json(ratio, z)),
+        (R.from_json(simple[0]) + R.from_json(simple[1]), fc.eval_json(simple[0], z) + fc.eval_json(simple[1], z)),
+    ]
+    for f, values in cases:
+        want = fc.fourier(values, -20, 20)
+        assert fc.rel(f.fourier_range(-20, 20) - want, want) <= 1e-12
+
+
 # ---------------------------------------------------------------- projections
 
 
@@ -115,6 +136,22 @@ def test_riesz_outside_pole_all_plus():
     f = C({0: -2, 1: 1}).reciprocal()
     assert riesz_project(f, "minus").is_zero
     assert riesz_project(f, "plus").equals(f)
+
+
+def test_riesz_windows_against_fft():
+    # poles on both sides and a numerator reaching both z^-1 and z^1, so each
+    # projection reads a nonempty window of the opposite side's stream
+    z = fc.circle_grid(4096)
+    checked = 0
+    for i in range(200):
+        f = sample_symbol(GENERIC, trial_rng(12, i))
+        if f.is_zero or not (f.poles_at("in") and f.poles_at("out") and f.num.lo <= -1 and f.num.hi >= 1):
+            continue
+        values = f.eval(z)
+        for side in ("plus", "minus"):
+            assert fc.rel(f.riesz(side).eval(z) - fc.riesz(values, side), values) <= 1e-12
+        checked += 1
+    assert checked >= 10
 
 
 @pytest.mark.parametrize(
