@@ -333,7 +333,7 @@ def main(argv=None):
             try:
                 stack.enter_context(tol.configured(**knobs))
             except ValueError as exc:
-                raise MalformedConfig(f"--tol: {exc}") from exc
+                raise MalformedConfig(str(exc)) from exc  # from --tol or the config file
             return _COMMANDS[args.command](args, cfg)
     except MalformedConfig as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,9 +19,10 @@ A nontriviality witness is the first element of the exact kernel: for the
 paired kernel phi_+ + phi_- = 1/g_plus - z^kappa g_minus (the paper's
 O_+ - I_- O_-), for the transposed kernel q/(g_plus b) (its O_+/b).
 
-The oracle truncates the operator once, at window N, and counts the small
-singular values of that matrix; the count reads singular values only, and
-the candidate vectors come from one vector SVD made when
+The oracle truncates the operator once, at window N, and counts its kernel
+as columns - numerical_rank of that matrix, the rank rule every span and
+commutator rank uses; the count reads singular values only, and the
+candidate vectors come from one vector SVD made when
 ``OracleResult.candidates`` is first read.  Its stability check repeats the
 count on the N/2 sub-block of the same matrix.  For a nontrivial kernel the
 gap divides by a singular value at roundoff level, so its digits are
@@ -40,7 +41,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import tolerances as tol
 from .errors import (
     DegenerateInput,
     DegenerateSymbol,
@@ -472,11 +472,10 @@ def coeff_matrix(elems: Sequence[RationalSymbol], half_width: Optional[int] = No
     return np.vstack([e.fourier_range(-K, K) for e in elems])
 
 
-def span_rank(elems: Sequence[RationalSymbol]) -> int:
-    M = coeff_matrix(elems)
-    if M.shape[0] == 0:
-        return 0
-    res = numerical_rank(M)
+def span_rank(elems: Sequence[RationalSymbol], half_width: Optional[int] = None) -> int:
+    """Numerical rank of the coefficient windows of ``elems`` (half-width
+    ``half_width``, by default their decay window), gap-certified."""
+    res = numerical_rank(coeff_matrix(elems, half_width))
     if res.indeterminate:
         raise OracleIndeterminate("span rank lacks a spectral gap", res)
     return res.rank
@@ -488,19 +487,11 @@ def linearly_independent(elems: Sequence[RationalSymbol]) -> bool:
 
 
 def span_defect(basis: Sequence[RationalSymbol], images: Sequence[RationalSymbol]) -> int:
-    """dim(span(basis + images)) - dim(span(basis)), gap-certified."""
-    basis = list(basis)
-    images = list(images)
-    if not images:
-        return 0
-    K = decay_window(basis + images)
-    M0 = coeff_matrix(basis, K)
-    M1 = coeff_matrix(basis + images, K)
-    r0 = numerical_rank(M0) if len(basis) else None
-    r1 = numerical_rank(M1)
-    if (r0 is not None and r0.indeterminate) or r1.indeterminate:
-        raise OracleIndeterminate("defect computation lacks a spectral gap", r1)
-    return r1.rank - (r0.rank if r0 is not None else 0)
+    """dim(span(basis + images)) - dim(span(basis)), gap-certified, both
+    read on one coefficient window."""
+    both = list(basis) + list(images)
+    K = decay_window(both)
+    return span_rank(both, K) - span_rank(basis, K)
 
 
 # ----------------------------------------------------------------------
@@ -557,22 +548,6 @@ def _oracle_window(M, n: int, d: int):
     return M.entries[np.ix_(np.abs(M.out_indices) <= n + d, keep)], ins[keep]
 
 
-def _kernel_count(s: np.ndarray, ncols: int, rank_tol: float):
-    """(dimension, gap, sigma_max) from the descending singular values ``s``
-    of a matrix with ``ncols`` columns: values below rank_tol * sigma_max
-    count as kernel, and every column does when the matrix is zero."""
-    smax = float(s[0]) if len(s) else 0.0
-    if smax == 0.0:
-        return ncols, float("inf"), smax
-    thr = rank_tol * smax
-    dim = int(np.sum(s < thr))
-    if dim == 0:
-        return 0, float(s[-1]) / thr if thr > 0 else float("inf"), smax
-    above = float(s[len(s) - dim - 1]) if len(s) > dim else float("inf")
-    below = float(s[len(s) - dim])
-    return dim, float("inf") if below == 0.0 else above / below, smax
-
-
 def oracle_min_window(node) -> int:
     """The smallest window ``kernel_oracle`` accepts: twice the bandwidth."""
     return 2 * max(bandwidth(node), 1)
@@ -582,16 +557,17 @@ def kernel_oracle(node, N: int) -> OracleResult:
     """SVD-based kernel dimension estimate with an edge buffer and a
     stability cross-check at half the window size.
 
-    The operator is truncated once, at N, and the dimension, gap and
-    sigma_max are read off its singular values alone; the result keeps the
-    trimmed matrix, and its ``candidates`` are computed on first read.  The
-    cross-check counts the kernel of the N/2 sub-block (rows |k| <= N/2 + d,
-    columns |j| <= N/2, the same edge trim) the same way, and ``stable`` is
-    false when the two counts differ: kernel tails too slow for the N/2
-    window, not a wrong dimension.  For a nontrivial kernel the gap is
-    sigma_above / sigma_below with sigma_below at roundoff level (it reads
-    inf where that value is exactly 0), so only ``gap >= GAP_MIN`` is
-    meaningful; below it OracleIndeterminate is raised."""
+    The operator is truncated once, at N; the dimension is the column count
+    of the trimmed matrix less its ``numerical_rank``, whose gap and
+    sigma_max the result carries with the matrix (``candidates`` are
+    computed on first read).  The cross-check counts the kernel of the N/2
+    sub-block (rows |k| <= N/2 + d, columns |j| <= N/2, the same edge trim)
+    the same way, and ``stable`` is false when the two counts differ: kernel
+    tails too slow for the N/2 window, not a wrong dimension.  For a
+    nontrivial kernel the gap divides by a singular value at roundoff level
+    (inf where it is exactly 0), and at dimension 0 it is sigma_min over the
+    threshold; only ``gap >= GAP_MIN`` certifies, and below it
+    OracleIndeterminate is raised."""
     node = build(node)
     least = oracle_min_window(node)
     if N < least:
@@ -599,14 +575,15 @@ def kernel_oracle(node, N: int) -> OracleResult:
     M, d = truncate(node, N), bandwidth(node)
     A, kept = _oracle_window(M, N, d)
     A.flags.writeable = False
-    dim, gap, smax = _kernel_count(np.linalg.svd(A, compute_uv=False), A.shape[1], tol.RANK_TOL)
+    res = numerical_rank(A)
+    dim = A.shape[1] - res.rank
     stable = None
     if N // 2 >= least:
         half, _ = _oracle_window(M, N // 2, d)
-        stable = _kernel_count(np.linalg.svd(half, compute_uv=False), half.shape[1], tol.RANK_TOL)[0] == dim
-    result = OracleResult(dim, gap, A, kept, stable, smax)
-    if gap < tol.GAP_MIN:
-        raise OracleIndeterminate(f"kernel oracle gap {gap:.3g} below certificate", result)
+        stable = half.shape[1] - numerical_rank(half).rank == dim
+    result = OracleResult(dim, res.gap, A, kept, stable, res.sigma_max)
+    if res.indeterminate:
+        raise OracleIndeterminate(f"kernel oracle gap {res.gap:.3g} below certificate", result)
     return result
 
 

@@ -212,4 +212,4 @@ def _expand(key: bytes) -> LaurentPoly:
     arr = np.array([lead], dtype=complex)
     for c in factors:
         arr = np.convolve(arr, np.array([c, 1.0], dtype=complex))
-    return LaurentPoly(dict(enumerate(arr.tolist())))
+    return LaurentPoly.from_array(0, arr)

@@ -424,24 +424,23 @@ def operator_norm(node, N: int) -> float:
 
 
 def numerical_rank(M, rank_tol: Optional[float] = None) -> RankResult:
-    """Certified numerical rank: singular values above rank_tol * sigma_max,
-    with the spectral gap between last kept and first discarded."""
+    """Certified numerical rank, the one rule that turns singular values into
+    a decision: the rank counts the values above thr = rank_tol * sigma_max,
+    and the gap is the last value kept over the first one dropped, thr
+    standing in for a missing neighbour (thr / s_max at rank 0, s_min / thr
+    at full rank; inf where the first dropped value is exactly 0).  A zero
+    or empty matrix has rank 0 and an infinite gap."""
     rank_tol = tol.RANK_TOL if rank_tol is None else rank_tol
     entries = M.entries if isinstance(M, TruncationMatrix) else np.asarray(M)
-    if entries.size == 0:
-        return RankResult(0, float("inf"), False, 0.0)
-    s = np.linalg.svd(entries, compute_uv=False)
-    smax = float(s[0])
+    s = np.linalg.svd(entries, compute_uv=False) if entries.size else ()
+    smax = float(s[0]) if len(s) else 0.0
     if smax == 0.0:
         return RankResult(0, float("inf"), False, 0.0)
     thr = rank_tol * smax
     rank = int(np.sum(s > thr))
-    if rank == len(s):
-        gap = float("inf")
-    else:
-        below = float(s[rank])
-        top = float(s[rank - 1]) if rank > 0 else thr
-        gap = float("inf") if below == 0.0 else top / below
+    above = float(s[rank - 1]) if rank > 0 else thr
+    below = float(s[rank]) if rank < len(s) else thr
+    gap = float("inf") if below == 0.0 else above / below
     return RankResult(rank, gap, gap < tol.GAP_MIN, smax)
 
 

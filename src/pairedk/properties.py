@@ -163,7 +163,7 @@ def _id_residual(lhs: RationalSymbol, rhs: RationalSymbol, floor: float) -> floa
     Comparing coefficient windows keeps the metric meaningful when the exact
     image happens to be near zero (the cross-multiplied rational residual
     would then divide by a vanishing quantity)."""
-    K = decay_window([s for s in (lhs, rhs) if not s.is_zero] or [RationalSymbol.const(1.0)])
+    K = decay_window([lhs, rhs])
     dl = lhs.fourier_range(-K, K)
     dr = rhs.fourier_range(-K, K)
     scale = max(floor, float(np.abs(dl).max()), float(np.abs(dr).max()), 1e-300)
@@ -403,14 +403,19 @@ def _build_plus_killer(eta: RationalSymbol, rng) -> RationalSymbol:
     return clear * h
 
 
+def _kercomm_witness(eta: RationalSymbol, rng) -> RationalSymbol:
+    """f_+ + conj(g_+) / z, with f_+ and g_+ the plus killers of eta and of
+    conj(eta): multiplication by eta keeps both halves in their Hardy spaces."""
+    f_plus = _build_plus_killer(eta, rng)
+    return f_plus + _build_plus_killer(eta.conj_circle(), rng).conj_circle() * R.monomial(-1)
+
+
 def _p_kercomm_s(rng, cfg):
     p = _nonzero_pair(rng)
     eta = sample_symbol(GENERIC, rng)
     node = Commutator(Paired(p.a, p.b), Mult(eta))
     floor = _op_coeff_scale(node)
-    fp = _build_plus_killer(eta, rng)
-    fm = (_build_plus_killer(eta.conj_circle(), rng)).conj_circle() * R.monomial(-1)
-    f_good = fp + fm
+    f_good = _kercomm_witness(eta, rng)
     if not _kercomm_conditions(f_good, eta):
         return False, {"reason": "constructed function fails the projection conditions"}
     for f in [f_good, sample_l2_function(GENERIC, rng), sample_l2_function(GENERIC, rng)]:
@@ -431,10 +436,7 @@ def _p_kercomm_sig(rng, cfg):
     eta = sample_symbol(GENERIC, rng)
     node = Commutator(Transposed(a, b), Mult(eta))
     floor = _op_coeff_scale(node)
-    g_good = _build_plus_killer(eta, rng) + (
-        _build_plus_killer(eta.conj_circle(), rng)
-    ).conj_circle() * R.monomial(-1)
-    f_good = g_good / delta
+    f_good = _kercomm_witness(eta, rng) / delta
     for f in [f_good, sample_l2_function(GENERIC, rng)]:
         vanishes = _vanishes(apply_exact(node, f), floor * max(_coeff_scale(f), 1.0))
         conds = _kercomm_conditions((a - b) * f, eta)

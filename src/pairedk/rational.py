@@ -310,7 +310,7 @@ class RationalSymbol:
         gain = p_arr[-1] / d_lead
         sym = cls(gain, zpow, zeros, kept_poles)
         # exact coefficient caches from the caller's data, deflation included
-        sym._num = LaurentPoly.from_array(0, p_arr / d_lead).shift(zpow)
+        sym._num = LaurentPoly.from_array(zpow, p_arr / d_lead)
         sym._den = LaurentPoly.from_array(0, q_arr / d_lead)
         return sym
 
@@ -411,7 +411,7 @@ class RationalSymbol:
             arr, d_arr, kept_poles, cancelled = _cancel_poles(
                 _asc_from_zero(num_prod.shift(-lo)), _asc_from_zero(den_prod), poles
             )
-            num_prod = LaurentPoly.from_array(0, arr).shift(lo)
+            num_prod = LaurentPoly.from_array(lo, arr)
             den_prod = LaurentPoly.from_array(0, d_arr)
             kept_zeros: List[Root] = []
             remaining = list(cancelled)
@@ -709,7 +709,7 @@ class RationalSymbol:
     def membership(self, tag: SpaceTag) -> bool:
         if tag == SpaceTag.L2:
             return not self.has_circle_pole
-        if tag == SpaceTag.H2PLUS:
+        if tag in (SpaceTag.H2PLUS, SpaceTag.HINF):
             return (not self.has_circle_pole) and self.poles_at(LOC_IN) == 0 and self.zpow >= 0
         if tag == SpaceTag.H2MINUS:
             return (
@@ -717,8 +717,6 @@ class RationalSymbol:
                 and self.poles_at(LOC_OUT) == 0
                 and (self.is_zero or self.delta_infinity < 0)
             )
-        if tag == SpaceTag.HINF:
-            return (not self.has_circle_pole) and self.poles_at(LOC_IN) == 0 and self.zpow >= 0
         if tag == SpaceTag.HINF_BAR:
             return (
                 (not self.has_circle_pole)

@@ -69,6 +69,34 @@ def _draw_gain(rng, profile) -> complex:
     return mag * complex(math.cos(th), math.sin(th))
 
 
+def _draw_root(rng, profile, taken, rule) -> Root:
+    """One simple zero or pole drawn by ``rule``: "mixed" (one uniform u: on
+    the circle below 0.3 when circle zeros are allowed, else inside below
+    0.65, else outside), "either" (inside or outside, one half each),
+    "outer" (on the circle with probability 0.3 when allowed, else outside)
+    or "out" (outside)."""
+    circle = profile.allow_circle_zeros
+    if rule == "either":
+        inside = rng.random() < 0.5
+    else:
+        u = rng.random() if rule == "mixed" or (rule == "outer" and circle) else 1.0
+        if circle and u < 0.3:
+            return Root(_draw_circle_point(rng), 1, LOC_ON)
+        inside = rule == "mixed" and u < 0.65
+    v = _draw_point(rng, profile.inside_annulus if inside else profile.outside_annulus, taken)
+    return Root(v, 1, LOC_IN if abs(v) < 1 else LOC_OUT)
+
+
+# class -> (zpow range in units of max_zpow, zero rule, pole rule, membership
+# tag the sample must pass); "HinfBar" and "inner" are built separately
+_CLASSES = {
+    "none": ((-1, 1), "mixed", "either", None),
+    "Hinf": ((0, 1), "mixed", "out", SpaceTag.HINF),
+    "invertible": ((-1, 1), "either", "either", None),
+    "outer": ((0, 0), "outer", "out", SpaceTag.OUTER_PLUS),
+}
+
+
 def sample_symbol(profile: SamplerProfile, rng: np.random.Generator) -> RationalSymbol:
     """Draw one rational symbol satisfying the profile's class constraint."""
     c = profile.class_constraint
@@ -86,65 +114,16 @@ def sample_symbol(profile: SamplerProfile, rng: np.random.Generator) -> Rational
         if not sym.membership(SpaceTag.INNER_PLUS):
             raise DegenerateSymbol("inner sample failed its membership check")
         return sym
-
+    if c not in _CLASSES:
+        raise ValueError(f"unknown class constraint {c!r}")
+    (lo, hi), zero_rule, pole_rule, tag = _CLASSES[c]
     n_zeros = int(rng.integers(0, profile.degree_bound + 1))
     n_poles = int(rng.integers(0, profile.degree_bound + 1))
-    zeros = []
-    poles = []
+    # an empty range (outer) draws nothing: integers(0, 1) reads no bits
+    zpow = int(rng.integers(lo * profile.max_zpow, hi * profile.max_zpow + 1))
     taken = []
-    if c == "none":
-        zpow = int(rng.integers(-profile.max_zpow, profile.max_zpow + 1))
-        for _ in range(n_zeros):
-            u = rng.random()
-            if profile.allow_circle_zeros and u < 0.3:
-                zeros.append(Root(_draw_circle_point(rng), 1, LOC_ON))
-            elif u < 0.65:
-                zeros.append(Root(_draw_point(rng, profile.inside_annulus, taken), 1, LOC_IN))
-            else:
-                zeros.append(Root(_draw_point(rng, profile.outside_annulus, taken), 1, LOC_OUT))
-        for _ in range(n_poles):
-            if rng.random() < 0.5:
-                poles.append(Root(_draw_point(rng, profile.inside_annulus, taken), 1, LOC_IN))
-            else:
-                poles.append(Root(_draw_point(rng, profile.outside_annulus, taken), 1, LOC_OUT))
-        tag = None
-    elif c == "Hinf":
-        zpow = int(rng.integers(0, profile.max_zpow + 1))
-        for _ in range(n_zeros):
-            u = rng.random()
-            if profile.allow_circle_zeros and u < 0.3:
-                zeros.append(Root(_draw_circle_point(rng), 1, LOC_ON))
-            elif u < 0.65:
-                zeros.append(Root(_draw_point(rng, profile.inside_annulus, taken), 1, LOC_IN))
-            else:
-                zeros.append(Root(_draw_point(rng, profile.outside_annulus, taken), 1, LOC_OUT))
-        for _ in range(n_poles):
-            poles.append(Root(_draw_point(rng, profile.outside_annulus, taken), 1, LOC_OUT))
-        tag = SpaceTag.HINF
-    elif c == "invertible":
-        zpow = int(rng.integers(-profile.max_zpow, profile.max_zpow + 1))
-        for _ in range(n_zeros):
-            ann = profile.inside_annulus if rng.random() < 0.5 else profile.outside_annulus
-            zeros.append(Root(_draw_point(rng, ann, taken), 1, None))
-        for _ in range(n_poles):
-            ann = profile.inside_annulus if rng.random() < 0.5 else profile.outside_annulus
-            poles.append(Root(_draw_point(rng, ann, taken), 1, None))
-        zeros = [Root(r.value, r.mult, LOC_IN if abs(r.value) < 1 else LOC_OUT) for r in zeros]
-        poles = [Root(r.value, r.mult, LOC_IN if abs(r.value) < 1 else LOC_OUT) for r in poles]
-        tag = None
-    elif c == "outer":
-        zpow = 0
-        for _ in range(n_zeros):
-            if profile.allow_circle_zeros and rng.random() < 0.3:
-                zeros.append(Root(_draw_circle_point(rng), 1, LOC_ON))
-            else:
-                zeros.append(Root(_draw_point(rng, profile.outside_annulus, taken), 1, LOC_OUT))
-        for _ in range(n_poles):
-            poles.append(Root(_draw_point(rng, profile.outside_annulus, taken), 1, LOC_OUT))
-        tag = SpaceTag.OUTER_PLUS
-    else:
-        raise ValueError(f"unknown class constraint {c!r}")
-
+    zeros = [_draw_root(rng, profile, taken, zero_rule) for _ in range(n_zeros)]
+    poles = [_draw_root(rng, profile, taken, pole_rule) for _ in range(n_poles)]
     sym = RationalSymbol.from_zpk(_draw_gain(rng, profile), zpow, zeros, poles)
     if sym.is_zero:
         raise DegenerateSymbol("sampler produced the zero symbol")

@@ -6,7 +6,9 @@ library code reads them through the module at call time.
 
 The four keys of ``SETTABLE`` are set only through ``configured``, which
 overrides them for the length of a ``with`` block and restores them when it
-exits; every value must be a positive number.  Library callers write
+exits; every value must be a positive number, and ``rank_tol`` must also
+be below 1 (a threshold at or above sigma_max counts every singular value as
+noise).  Library callers write
 ``with tolerances.configured(rank_tol=1e-8): ...``.  The CLI opens one such
 block per command, from its ``--tol`` flag (``rank_tol``) and its config file;
 the flag wins over the file, and the file over the defaults below.
@@ -67,6 +69,8 @@ def configured(**overrides):
             raise KeyError(key)
         if not (isinstance(value, (int, float)) and value > 0):
             raise ValueError(f"{key} must be a positive number")
+        if key == "rank_tol" and value >= 1:
+            raise ValueError("rank_tol must be below 1: it is relative to sigma_max")
     saved = current()
     try:
         globals().update({SETTABLE[key]: float(value) for key, value in overrides.items()})

@@ -136,6 +136,30 @@ def test_nonpositive_tol_is_usage_error(capsys, argv, value):
     assert captured.out == "" and "rank_tol must be a positive number" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel", "--type", "paired", "--a", A_JSON, "--b", B_JSON, "--N", "16", "--tol", "2"],
+        ["commutator", "--type", "paired", "--a", A_JSON, "--b", B_JSON, "--g", '{"coeffs":{"1":[1,0]}}', "--tol", "1"],
+    ],
+    ids=["kernel", "commutator"],
+)
+def test_rank_tol_of_one_or_more_is_usage_error(capsys, argv):
+    # a threshold at or above sigma_max counts every singular value as noise
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "rank_tol must be below 1" in captured.err
+
+
+def test_config_rank_tol_of_one_or_more_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rank_tol": 1.5}))
+    argv = ["kernel", "--type", "paired", "--a", A_JSON, "--b", B_JSON, "--N", "16"]
+    assert main(argv + ["--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "rank_tol must be below 1" in captured.err
+
+
 def test_human_lines_agree_between_verify_and_report(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["verify", "--property", "P_ZERO", "--human", "--out", str(out), "--quiet"]) == 0

@@ -31,6 +31,7 @@ from pairedk.errors import (
     DegenerateSymbol,
     NotInKernel,
     NotInner,
+    OracleIndeterminate,
     PartitionOfUnityFails,
     TrivialKernel,
 )
@@ -602,8 +603,8 @@ def test_oracle_half_window_is_a_sub_block_of_the_full_one(name, N):
     # the stability check reads the N/2 truncation off the N one; its kernel
     # dimension equals that of a fresh N/2 truncation, and a leaf's entries
     # are the same bit for bit
-    from pairedk.kernels import _kernel_count, _oracle_window
-    from pairedk.operators import bandwidth, truncate
+    from pairedk.kernels import _oracle_window
+    from pairedk.operators import bandwidth, numerical_rank, truncate
 
     node = _half_window_nodes()[name]
     d = bandwidth(node)
@@ -616,12 +617,36 @@ def test_oracle_half_window_is_a_sub_block_of_the_full_one(name, N):
         assert np.allclose(sub, fresh, rtol=0, atol=1e-14 * np.abs(fresh).max())
     else:
         assert np.array_equal(sub, fresh)
-    dim_sub, dim_fresh = (
-        _kernel_count(np.linalg.svd(m, compute_uv=False), m.shape[1], 1e-10)[0] for m in (sub, fresh)
-    )
+    dim_sub, dim_fresh = (m.shape[1] - numerical_rank(m, 1e-10).rank for m in (sub, fresh))
     assert dim_sub == dim_fresh
     res = kernel_oracle(node, N)
     assert res.stable == (dim_fresh == res.dim_estimate)
+
+
+def test_oracle_dimension_is_columns_less_numerical_rank():
+    # the oracle's count, gap and sigma_max are numerical_rank's, read on
+    # the trimmed matrix it keeps
+    from pairedk.operators import numerical_rank
+
+    prof = SamplerProfile(degree_bound=2, inside_annulus=(0.25, 0.6), outside_annulus=(1.6, 4.0))
+    for i in range(3):
+        pair = sample_pair_with_kernel(prof, trial_rng(11, i), 1 + i, "invertible")
+        for node in (Paired(pair.a, pair.b), Transposed(pair.a, pair.b), Toeplitz(pair.quotient())):
+            res = kernel_oracle(node, 64)
+            rank = numerical_rank(res.matrix)
+            assert res.dim_estimate == res.matrix.shape[1] - rank.rank
+            assert (res.gap, res.sigma_max) == (rank.gap, rank.sigma_max)
+
+
+def test_span_defect_refuses_a_nearly_dependent_basis():
+    # f and f + 1e-8 z are independent only 50x above the 1e-10 threshold:
+    # a full rank without the 1e3 gap is no answer
+    from pairedk.kernels import span_defect
+
+    basis = [R.const(1.0), R.const(1.0) + R.monomial(1, 1e-8)]
+    with pytest.raises(OracleIndeterminate):
+        span_defect(basis, [R.monomial(2)])
+    assert span_defect(basis[:1], [R.monomial(2)]) == 1
 
 
 def test_oracle_stability_flag():

@@ -182,6 +182,15 @@ def test_numerical_rank_zero_matrix():
     assert res.rank == 0 and res.gap == float("inf")
 
 
+def test_numerical_rank_certifies_full_rank_by_its_smallest_value():
+    # at full rank the threshold stands in for the missing value below it:
+    # 5e-8 is only 500x the threshold 1e-10, short of the 1e3 certificate
+    res = numerical_rank(np.diag([1.0, 5e-8]), 1e-10)
+    assert res.rank == 2 and res.gap == pytest.approx(500.0) and res.indeterminate
+    res = numerical_rank(np.diag([1.0, 1e-3]), 1e-10)
+    assert res.rank == 2 and res.gap == pytest.approx(1e7) and not res.indeterminate
+
+
 def test_numerical_rank_commuting_case():
     # all four symbols split analytically: the paired operators commute
     a = C({0: 1, 1: 0.5}) / C({0: -3, 1: 1})

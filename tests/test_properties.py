@@ -126,6 +126,14 @@ def test_spawned_workers_use_the_active_tolerances(monkeypatch):
     assert seq.failures != default.failures  # the tighter eps_eq changes verdicts
 
 
+def test_rank_tol_of_one_or_more_is_refused():
+    for value in (1.0, 2):
+        with pytest.raises(ValueError, match="rank_tol must be below 1"):
+            with tol.configured(rank_tol=value):
+                pass
+    assert tol.RANK_TOL == 1e-10
+
+
 def test_report_records_the_rank_threshold_it_used():
     with tol.configured(rank_tol=1e-3):
         rep = run_property("P_RANK1", 1, 0)
