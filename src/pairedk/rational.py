@@ -16,10 +16,11 @@ projections never read zeros.  The product's proximity gate (a zero within
 distance bound first: where Fujiwara's bound on the Taylor-shifted numerator
 keeps every zero far from every pole, no zero is located.
 
-Every coefficient window of num/den, Fourier or Riesz, is one convolution:
-``RationalSymbol._convolve`` convolves num with a window of the split
+Every Fourier window of num/den is num convolved with a window of the split
 1/den = A/D_in + B/D_out, and only ``_Split.window`` knows how the split's
-coefficient streams are indexed.
+coefficient streams are indexed.  Every Riesz projection is one rule: the
+denominator factor on its side, D_in for P- or D_out for P+, convolved with
+one Fourier window gives the projection's numerator over that factor.
 
 Denominator data depends on the poles alone and is memoized on exact bit
 keys: ``LaurentPoly.from_roots`` on the bits of its lead and sorted roots,
@@ -454,14 +455,6 @@ class RationalSymbol:
             return self * (1.0 / other)
         return self * other.reciprocal()
 
-    def __pow__(self, n: int) -> "RationalSymbol":
-        if n < 0:
-            return self.reciprocal() ** (-n)
-        out = RationalSymbol.const(1.0)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __neg__(self) -> "RationalSymbol":
         return self * (-1.0)
 
@@ -592,9 +585,10 @@ class RationalSymbol:
     # coefficient streams of A/D_in (negative indices) and B/D_out
     # (nonnegative indices) follow from series-division recurrences that are
     # stable precisely because of where the roots live.  ``_Split.window``
-    # reads them on an index range; ``_convolve`` convolves the exact
-    # numerator with both sides (the coefficients of f) or one (each window
-    # a Riesz projection adds).
+    # reads them on an index range, and ``fourier_range`` convolves the
+    # exact numerator with that window.  A Riesz projection needs no more:
+    # D_in * P- f and D_out * P+ f are Laurent polynomials of known support,
+    # so each is one window of f's coefficients convolved with D_in or D_out.
 
     def _invden_split(self) -> "_Split":
         """The split of 1/den, shared with every symbol of the same poles
@@ -609,30 +603,23 @@ class RationalSymbol:
             self._invden = _split(len(in_vals), d_in.tobytes(), len(out_vals), d_out.tobytes())
         return self._invden
 
-    def _convolve(self, sides: Sequence[str], lo: int, hi: int) -> np.ndarray:
-        """Coefficients on [lo, hi] of num times the given sides of the
-        split: A/D_in (LOC_IN) and B/D_out (LOC_OUT)."""
+    def fourier_range(self, lo: int, hi: int) -> np.ndarray:
+        """Fourier coefficients hat f(k) for k in [lo, hi]."""
+        if self.has_circle_pole:
+            raise PoleOnCircle("Fourier coefficients need a pole-free circle")
         num = self.num
         out = np.zeros(hi - lo + 1, dtype=complex)
-        split = self._invden_split()
-        w = sum(split.window(side, lo - num.hi, hi - num.lo) for side in sides)
+        if self.is_zero or not self.poles:
+            for k, v in num.items():
+                if lo <= k <= hi:
+                    out[k - lo] += v
+            return out
+        w = self._invden_split().window(lo - num.hi, hi - num.lo)
         for t, v in num.items():
             # out(k) += v * w(k - t) for k in [lo, hi]
             start = num.hi - t
             out += v * w[start : start + len(out)]
         return out
-
-    def fourier_range(self, lo: int, hi: int) -> np.ndarray:
-        """Fourier coefficients hat f(k) for k in [lo, hi]."""
-        if self.has_circle_pole:
-            raise PoleOnCircle("Fourier coefficients need a pole-free circle")
-        if self.is_zero or not self.poles:
-            out = np.zeros(hi - lo + 1, dtype=complex)
-            for k, v in self.num.items():
-                if lo <= k <= hi:
-                    out[k - lo] += v
-            return out
-        return self._convolve((LOC_IN, LOC_OUT), lo, hi)
 
     def fourier(self, k: int) -> complex:
         return complex(self.fourier_range(k, k)[0])
@@ -648,60 +635,41 @@ class RationalSymbol:
         return self._assemble(side)
 
     def _assemble(self, side: str) -> "RationalSymbol":
-        """One Riesz projection, over the denominator factor on its side.
+        """One Riesz projection: its denominator factor convolved with one
+        Fourier window of f, over that factor.
 
-        With 1/den = A/D_in + B/D_out, num*A/D_in keeps only a finite window
-        [num*A/D_in]_+ at indices >= 0, and num*B/D_out only a finite window
-        [num*B/D_out]_- at indices < 0.  Hence
-            P- f = (num*A - [num*A/D_in]_+ D_in + [num*B/D_out]_- D_in) / D_in,
-            P+ f = (num*B - [num*B/D_out]_- D_out + [num*A/D_in]_+ D_out) / D_out,
-        and both denominators have their roots located already.  P+ keeps
-        the rules of the subtraction f - P- f it replaces: it is f itself
-        where P- f vanishes, and zero where it is below EPS_EQ of f's
-        numerator."""
+        P- f has the inside poles only and vanishes at infinity, so
+        Q = D_in * P- f is a Laurent polynomial on [L, n_in) with
+        L = min(num.lo, 0); P+ f has the outside poles only and grows at
+        most like z^(H - n_out), so R = D_out * P+ f is a polynomial on
+        [0, H] with H = max(num.hi - n_in, n_out - 1).  Each coefficient of
+        Q or R is D's row against hat f on the projection's own indices:
+            Q = (D_in conv hat f[L - n_in .. -1])[n_in:],
+            R = (D_out conv hat f[0 .. H])[:H + 1],
+        and both denominators have their roots located already.  P+ f is f
+        itself, and P- f zero, where f has no inside pole and num.lo >= 0;
+        P+ f is zero where H < 0 or R is at most EPS_EQ of f's numerator."""
         minus = side == "minus"
         num = self.num
-        if not self.poles:
-            neg = LaurentPoly({k: v for k, v in num.items() if k < 0})
-            if minus:
-                return RationalSymbol._over(neg, LaurentPoly.one(), [], 0.0)
-            if neg.is_zero:
-                return self
-            scale = num.norm_inf() + neg.norm_inf()
-            # 0.0 + v, as in the sum this replaces: no negative zeros
-            pos = LaurentPoly({k: 0.0 + v for k, v in num.items() if k >= 0}, scale=scale)
-            return RationalSymbol._over(pos, LaurentPoly.one(), [], scale)
-        split = self._invden_split()
-        own, d_arr, other = (split.a, split.d_in, "plus") if minus else (split.b, split.d_out, "minus")
-        den = LaurentPoly.from_array(0, d_arr)
-        total = LaurentPoly.zero()
-        if len(own):
-            prod = num * LaurentPoly.from_array(0, own)
-            window = self._window(other, prod.norm_inf())
-            total = total + prod - window * den
-            if not minus and not len(split.a) and window.is_zero:
-                return self
-        total = total + self._window(side, num.norm_inf()) * den
+        n_in = self.poles_at(LOC_IN)
+        if not n_in and num.lo >= 0:
+            return RationalSymbol.zero() if minus else self
         kept = [r for r in self.poles if (r.loc == LOC_IN) == minus]
-        return RationalSymbol._over(total, den, kept, 0.0 if minus else num.norm_inf())
-
-    @staticmethod
-    def _over(num: LaurentPoly, den: LaurentPoly, den_roots, scale: float) -> "RationalSymbol":
-        """num/den, or zero where num is at most EPS_EQ * scale."""
-        if num.is_zero or num.norm_inf() <= tol.EPS_EQ * scale:
+        den = LaurentPoly.from_roots([r.value for r in kept for _ in range(r.mult)])
+        d = _asc_from_zero(den)
+        n = len(d) - 1
+        if minus:
+            lo = min(num.lo, 0)
+            top = np.convolve(d, self.fourier_range(lo - n, -1))[n:]
+        else:
+            lo, hi = 0, max(num.hi - n_in, n - 1)
+            if hi < 0:
+                return RationalSymbol.zero()
+            top = np.convolve(d, self.fourier_range(0, hi))[: hi + 1]
+        top = LaurentPoly.from_array(lo, top)
+        if not minus and top.norm_inf() <= tol.EPS_EQ * num.norm_inf():
             return RationalSymbol.zero()
-        return RationalSymbol.from_fraction(num, den, den_roots=den_roots)
-
-    def _window(self, side: str, scale: float) -> LaurentPoly:
-        """[num*A/D_in]_+ (side 'plus', on [0, num.hi)) or [num*B/D_out]_-
-        (side 'minus', on [num.lo, 0)); zero where that range is empty or
-        the split has no poles on that side."""
-        num, split = self.num, self._invden_split()
-        plus = side == "plus"
-        loc, lo, hi = (LOC_IN, 0, num.hi - 1) if plus else (LOC_OUT, num.lo, -1)
-        if hi < lo or not len(split.a if plus else split.b):
-            return LaurentPoly.zero()
-        return LaurentPoly(dict(enumerate(self._convolve((loc,), lo, hi).tolist(), lo)), scale=scale)
+        return RationalSymbol.from_fraction(top, den, den_roots=kept)
 
     # ------------------------------------------------------------------
     # membership
@@ -862,9 +830,9 @@ class _Split:
     identities and truncations workloads about 1.09x as long, and computing
     a longer stream afresh instead of continuing the kept one cost the
     truncations workload 7 % of its operations per second.  ``window``
-    reads either side on an index range and is the only reader of a
-    stream's layout.  One instance serves every symbol with these poles.
-    Plain slots, so it pickles."""
+    reads both sides on an index range, for ``fourier_range``, and is the
+    only reader of a stream's layout.  One instance serves every symbol with
+    these poles.  Plain slots, so it pickles."""
 
     __slots__ = ("a", "d_in", "b", "d_out", "_streams")
 
@@ -889,21 +857,18 @@ class _Split:
             self._streams[side] = have
         return have[:order]
 
-    def window(self, side: str, lo: int, hi: int) -> np.ndarray:
-        """Coefficients on [lo, hi] of A/D_in (side LOC_IN, supported on
-        k <= -1) or of B/D_out (side LOC_OUT, supported on k >= 0).  A/D_in
-        at z = 1/w is w * rev(A)(w)/rev(D_in)(w), so its coefficient at k is
-        the inside stream's at -k-1; B/D_out is its own Taylor series, read
-        at k."""
+    def window(self, lo: int, hi: int) -> np.ndarray:
+        """Coefficients on [lo, hi] of 1/den = A/D_in + B/D_out.  A/D_in is
+        supported on k <= -1: at z = 1/w it is w * rev(A)(w)/rev(D_in)(w),
+        so its coefficient at k is the inside stream's at -k-1.  B/D_out is
+        supported on k >= 0 and is its own Taylor series, read at k."""
         out = np.zeros(hi - lo + 1, dtype=complex)
-        if side == LOC_IN:
-            top = min(hi, -1)
-            if top >= lo and len(self.a):
-                out[: top - lo + 1] = self.stream(LOC_IN, -lo)[-top - 1 :][::-1]
-        else:
-            start = max(lo, 0)
-            if start <= hi and len(self.b):
-                out[start - lo :] = self.stream(LOC_OUT, hi + 1)[start:]
+        top = min(hi, -1)
+        if top >= lo and len(self.a):
+            out[: top - lo + 1] = self.stream(LOC_IN, -lo)[-top - 1 :][::-1]
+        start = max(lo, 0)
+        if start <= hi and len(self.b):
+            out[start - lo :] = self.stream(LOC_OUT, hi + 1)[start:]
         return out
 
 

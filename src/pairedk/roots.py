@@ -88,7 +88,11 @@ def poly_roots(p: LaurentPoly) -> RootSet:
         raise DegreeOverflow(f"degree {deg} exceeds {MAX_DEGREE}")
     if deg == 0:
         return RootSet(())
+    # scaled by an exact power of two to a largest modulus in [0.5, 1):
+    # the roots are unchanged, and subnormal or huge coefficients no longer
+    # overflow np.roots' complex division
     desc = arr[::-1].copy()
+    desc = np.ldexp(desc.view(float), -np.frexp(np.abs(desc).max())[1]).view(complex)
     raw = np.roots(desc)
     raw = _polish(desc, raw)
     clustered = _cluster(raw)

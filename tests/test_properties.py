@@ -63,6 +63,13 @@ def test_registry_covers_all_ids():
     assert set(PROPERTIES) == set(registered_ids())
 
 
+@pytest.mark.parametrize("pid", registered_ids())
+def test_every_registered_property_passes_three_trials(pid):
+    # a dozen properties (P_PROD, P_JMAP, P_SIGMA_INCL, ...) run in no other test
+    rep = run_property(pid, 3, 0)
+    assert rep.all_pass(), rep.failures
+
+
 def test_run_property_unknown_id():
     with pytest.raises(UnknownProperty):
         run_property("P_NOPE", 1, 0)

@@ -117,6 +117,21 @@ def test_nearby_roots_stay_distinct(gap):
         assert fc.rel(f.fourier_range(-20, 20) - want, want) <= 1e-12
 
 
+def test_subnormal_coefficients_keep_their_root():
+    # 2.225e-311 (1 + z): np.roots' complex division overflowed on the
+    # unscaled coefficients and raised numpy's LinAlgError
+    zeros = C({0: 2.225e-311, 1: 2.225e-311}).zeros
+    assert [(r.mult, r.loc) for r in zeros] == [(1, "on")]
+    assert abs(zeros[0].value + 1.0) <= 1e-15
+
+
+def test_huge_coefficients_keep_their_roots():
+    # 1e300 (z - 0.5)(z - 3)
+    zeros = C({0: 1.5e300, 1: -3.5e300, 2: 1e300}).zeros
+    assert [(r.mult, r.loc) for r in zeros] == [(1, "in"), (1, "out")]
+    assert abs(zeros[0].value - 0.5) <= 1e-15 and abs(zeros[1].value - 3.0) <= 1e-14
+
+
 # ---------------------------------------------------------------- projections
 
 
