@@ -250,17 +250,17 @@ def _p_prodres(rng, cfg):
     q = _nonzero_pair(rng)
     op_scale = (_coeff_scale(p.a) + _coeff_scale(p.b)) * (_coeff_scale(q.a) + _coeff_scale(q.b))
     worst = 0.0
+    # the probes share every symbol and node below
+    dp, dq = p.a - p.b, q.a - q.b
+    composed, product = Compose(Paired(p.a, p.b), Paired(q.a, q.b)), Paired(p.a * q.a, p.b * q.b)
+    composed_t, product_t = Compose(Transposed(p.a, p.b), Transposed(q.a, q.b)), Transposed(product.a, product.b)
     for f in _probe_functions(rng):
         floor = op_scale * max(_coeff_scale(f), 1.0)
-        lhs = apply_exact(Compose(Paired(p.a, p.b), Paired(q.a, q.b)), f) - apply_exact(
-            Paired(p.a * q.a, p.b * q.b), f
-        )
-        rhs = (p.a - p.b) * _cross_term(q, f.riesz("plus"), f.riesz("minus"))
+        lhs = apply_exact(composed, f) - apply_exact(product, f)
+        rhs = dp * _cross_term(q, f.riesz("plus"), f.riesz("minus"))
         worst = max(worst, _id_residual(lhs, rhs, floor))
-        lhs2 = apply_exact(Compose(Transposed(p.a, p.b), Transposed(q.a, q.b)), f) - apply_exact(
-            Transposed(p.a * q.a, p.b * q.b), f
-        )
-        inner = (q.a - q.b) * f
+        lhs2 = apply_exact(composed_t, f) - apply_exact(product_t, f)
+        inner = dq * f
         rhs2 = (p.b * inner.riesz("plus")).riesz("minus") - (p.a * inner.riesz("minus")).riesz("plus")
         worst = max(worst, _id_residual(lhs2, rhs2, floor))
     return worst <= 1e-10, {"max_residual": worst}
@@ -271,17 +271,19 @@ def _p_commexp(rng, cfg):
     q = _nonzero_pair(rng)
     op_scale = (_coeff_scale(p.a) + _coeff_scale(p.b)) * (_coeff_scale(q.a) + _coeff_scale(q.b))
     worst = 0.0
-    X, Y = Paired(p.a, p.b), Paired(q.a, q.b)
-    Xs, Ys = Transposed(p.a, p.b), Transposed(q.a, q.b)
+    # the probes share every symbol and node below
+    dp, dq = p.a - p.b, q.a - q.b
+    comm = Commutator(Paired(p.a, p.b), Paired(q.a, q.b))
+    comm_t = Commutator(Transposed(p.a, p.b), Transposed(q.a, q.b))
     for f in _probe_functions(rng):
         floor = op_scale * max(_coeff_scale(f), 1.0)
-        lhs = apply_exact(Commutator(X, Y), f)
+        lhs = apply_exact(comm, f)
         fp, fm = f.riesz("plus"), f.riesz("minus")
-        rhs = (p.a - p.b) * _cross_term(q, fp, fm) - (q.a - q.b) * _cross_term(p, fp, fm)
+        rhs = dp * _cross_term(q, fp, fm) - dq * _cross_term(p, fp, fm)
         worst = max(worst, _id_residual(lhs, rhs, floor))
-        lhs2 = apply_exact(Commutator(Xs, Ys), f)
-        u = (p.a - p.b) * f
-        v = (q.a - q.b) * f
+        lhs2 = apply_exact(comm_t, f)
+        u = dp * f
+        v = dq * f
         rhs2 = (
             (q.a * u.riesz("minus")).riesz("plus")
             - (q.b * u.riesz("plus")).riesz("minus")

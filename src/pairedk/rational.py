@@ -13,8 +13,8 @@ tolerances as at construction, so they come out as an eager computation
 would give them.  Poles are always located.  Fourier windows and Riesz
 projections never read zeros.  The product's proximity gate (a zero within
 1e-6 of a pole triggers the pole-cancellation value test) is decided by a
-distance bound first: where Fujiwara's bound on the Taylor-shifted numerator
-keeps every zero far from every pole, no zero is located.
+value bound first: where the numerator's value at a pole exceeds what its
+derivative bound allows within 1e-4 of the pole, no zero is located.
 
 Every Fourier window of num/den is num convolved with a window of the split
 1/den = A/D_in + B/D_out, and only ``_Split.window`` knows how the split's
@@ -130,15 +130,15 @@ def _deficit(union: Sequence[Root], have: Sequence[Root]) -> List[complex]:
 
 
 # The product's proximity gate: a zero within _GATE * max(1, |p|) of a pole p
-# sends the product through the pole-cancellation value test.  A distance
-# bound above _CLEAR * max(1, |p|) rules that out without locating zeros;
-# the factor 100 between them absorbs the rounding of located roots.  The
-# bound pays: locating zeros for every gate made the identities workload
-# about 1.3x as long.
+# sends the product through the pole-cancellation value test.  A value bound
+# that rules out every zero within _CLEAR * max(1, |p|) decides the gate
+# without locating zeros; the factor 100 between the two radii absorbs the
+# rounding of located roots.  The bound pays: locating zeros for every gate
+# made the identities workload about 1.3x as long.
 _GATE = 1e-6
 _CLEAR = 1e-4
-# Rounding of a Taylor coefficient, per term summed, relative to the sum of
-# the moduli of its terms.
+# Rounding of a Horner sum, per coefficient, relative to the sum of the
+# moduli of its terms.
 _ROUND = 16 * np.finfo(float).eps
 
 
@@ -147,39 +147,38 @@ def _near(zeros: Iterable[Root], pvals: Sequence[complex]) -> bool:
     return any(abs(z.value - p) <= _GATE * max(1.0, abs(p)) for z in zeros for p in pvals)
 
 
-@functools.cache
-def _binomials() -> np.ndarray:
-    """C(j, k) at [j, k] for j, k <= MAX_DEGREE, built on first use; a
-    polynomial with m coefficients uses the leading m x m block."""
-    out = np.zeros((MAX_DEGREE + 1, MAX_DEGREE + 1))
-    for j in range(MAX_DEGREE + 1):
-        for k in range(j + 1):
-            out[j, k] = math.comb(j, k)
-    return out
-
-
 def _bound_clears(arr: np.ndarray, pvals: Sequence[complex]) -> bool:
-    """Whether every zero of the polynomial with ascending coefficients arr
-    provably lies farther than _CLEAR * max(1, |p|) from each pole value p.
+    """Whether every zero of the polynomial q with ascending coefficients arr
+    provably lies farther than rho = _CLEAR * max(1, |p|) from each pole
+    value p.
 
-    The Taylor shift c_k = q^(k)(p)/k! = p^-k sum_j C(j, k) a_j p^j turns
-    the zeros of q into the roots h of sum c_k h^k.  Fujiwara's bound on the
-    reversed polynomial (Tohoku Math. J. 10, 1916) gives
-    |1/h| <= 2 max_k |c_k/c_0|^(1/k).  Each c_k is widened by its rounding
-    bound first; a c_0 that rounding cannot tell from zero proves nothing."""
-    m = len(arr)
-    if m < 2:
+    With M(x) = sum |a_j| x^j, every |h| <= rho has
+    |q(p + h) - q(p)| <= rho * max |q'| <= rho * M'(|p| + rho), so a zero
+    within rho of p needs |q(p)| <= rho * M'(|p| + rho).  One Horner pass
+    per pole computes q(p), M(|p|) and M'(|p| + rho); the test allows for
+    the rounding of both sides, and an overflow or NaN proves nothing."""
+    coeffs = arr.tolist()[::-1]
+    if len(coeffs) < 2:
         return True
-    p = np.asarray(pvals, dtype=complex)
-    binom = _binomials()[:m, :m]
-    with np.errstate(all="ignore"):  # overflow turns into NaN, and NaN into False below
-        powers = p[:, None] ** np.arange(m)  # [pole, j]
-        terms = powers * arr
-        c = np.abs(terms @ binom) / np.abs(powers)  # [pole, k]
-        err = _ROUND * m * (np.abs(terms) @ binom) / np.abs(powers)
-        c0 = c[:, 0] - err[:, 0]
-        growth = ((c[:, 1:] + err[:, 1:]) / c0[:, None]) ** (1.0 / np.arange(1, m))
-        return bool(np.all((c0 > 0) & (2.0 * growth.max(axis=1) * _CLEAR * np.maximum(1.0, np.abs(p)) < 1.0)))
+    mods = [abs(c) for c in coeffs]
+    slack = _ROUND * len(coeffs)
+    for p in pvals:
+        ap = abs(p)
+        rho = _CLEAR * max(1.0, ap)
+        x = ap + rho
+        q, mag, m, dm = 0j, 0.0, 0.0, 0.0
+        for c, ac in zip(coeffs, mods):
+            q = q * p + c
+            mag = mag * ap + ac
+            dm = dm * x + m
+            m = m * x + ac
+        try:
+            aq = abs(q)
+        except OverflowError:
+            return False
+        if not aq > rho * dm + slack * (mag + rho * dm):
+            return False
+    return True
 
 
 class _LazyZeros:
@@ -310,9 +309,16 @@ class RationalSymbol:
             zeros.resolve()  # raises now, where an eager location would
         gain = p_arr[-1] / d_lead
         sym = cls(gain, zpow, zeros, kept_poles)
-        # exact coefficient caches from the caller's data, deflation included
-        sym._num = LaurentPoly.from_array(zpow, p_arr / d_lead)
-        sym._den = LaurentPoly.from_array(0, q_arr / d_lead)
+        # exact coefficient caches from the caller's data, deflation included;
+        # where nothing cancelled and den is monic from z^0 they are num and
+        # den themselves, provided both run in ascending exponent order, the
+        # order in which the arrays would rebuild them (and in which products
+        # and Fourier windows sum their coefficients)
+        if p_arr is n_arr and d_lead == 1 and d_lo == 0 and _ascending(num) and _ascending(den):
+            sym._num, sym._den = num, den
+        else:
+            sym._num = LaurentPoly.from_array(zpow, p_arr / d_lead)
+            sym._den = LaurentPoly.from_array(0, q_arr / d_lead)
         return sym
 
     # ------------------------------------------------------------------
@@ -452,6 +458,8 @@ class RationalSymbol:
 
     def __truediv__(self, other) -> "RationalSymbol":
         if isinstance(other, (int, float, complex)):
+            if other == 0:
+                raise ZeroDenominator("division by zero")
             return self * (1.0 / other)
         return self * other.reciprocal()
 
@@ -591,8 +599,7 @@ class RationalSymbol:
     # so each is one window of f's coefficients convolved with D_in or D_out.
 
     def _invden_split(self) -> "_Split":
-        """The split of 1/den, shared with every symbol of the same poles
-        (callers return early for a symbol without poles)."""
+        """The split of 1/den, shared with every symbol of the same poles."""
         if self._invden is None:
             in_vals: List[complex] = []
             out_vals: List[complex] = []
@@ -646,17 +653,18 @@ class RationalSymbol:
         Q or R is D's row against hat f on the projection's own indices:
             Q = (D_in conv hat f[L - n_in .. -1])[n_in:],
             R = (D_out conv hat f[0 .. H])[:H + 1],
-        and both denominators have their roots located already.  P+ f is f
-        itself, and P- f zero, where f has no inside pole and num.lo >= 0;
-        P+ f is zero where H < 0 or R is at most EPS_EQ of f's numerator."""
+        with D_in and D_out served by the split and their roots located
+        already.  P+ f is f itself, and P- f zero, where f has no inside
+        pole and num.lo >= 0; P+ f is zero where H < 0 or R is at most
+        EPS_EQ of f's numerator."""
         minus = side == "minus"
         num = self.num
         n_in = self.poles_at(LOC_IN)
         if not n_in and num.lo >= 0:
             return RationalSymbol.zero() if minus else self
         kept = [r for r in self.poles if (r.loc == LOC_IN) == minus]
-        den = LaurentPoly.from_roots([r.value for r in kept for _ in range(r.mult)])
-        d = _asc_from_zero(den)
+        split = self._invden_split()
+        den, d = (split.den_in, split.d_in) if minus else (split.den_out, split.d_out)
         n = len(d) - 1
         if minus:
             lo = min(num.lo, 0)
@@ -831,15 +839,19 @@ class _Split:
     a longer stream afresh instead of continuing the kept one cost the
     truncations workload 7 % of its operations per second.  ``window``
     reads both sides on an index range, for ``fourier_range``, and is the
-    only reader of a stream's layout.  One instance serves every symbol with
-    these poles.  Plain slots, so it pickles."""
+    only reader of a stream's layout.  ``den_in`` and ``den_out`` are D_in
+    and D_out as Laurent polynomials, for the Riesz projections: bit for bit
+    what ``LaurentPoly.from_roots`` gives for each side's poles.  One
+    instance serves every symbol with these poles.  Plain slots, so it
+    pickles."""
 
-    __slots__ = ("a", "d_in", "b", "d_out", "_streams")
+    __slots__ = ("a", "d_in", "b", "d_out", "den_in", "den_out", "_streams")
 
     def __init__(self, a: np.ndarray, d_in: np.ndarray, b: np.ndarray, d_out: np.ndarray):
         for arr in (a, d_in, b, d_out):
             arr.flags.writeable = False
         self.a, self.d_in, self.b, self.d_out = a, d_in, b, d_out
+        self.den_in, self.den_out = LaurentPoly.from_array(0, d_in), LaurentPoly.from_array(0, d_out)
         self._streams = {LOC_IN: self.a[:0], LOC_OUT: self.b[:0]}
 
     def stream(self, side: str, order: int) -> np.ndarray:
@@ -879,12 +891,13 @@ def _split(n_in: int, d_in_key: bytes, n_out: int, d_out_key: bytes) -> _Split:
     d_in_key and d_out_key.  These are all the Bezout solve reads, and it
     reads no tolerance, so one pole set's split is solved once while it
     stays among the MEMO_SIZE most recent; a raising solve is not stored.
-    Without the memo the identities workload took about 1.18x as long."""
+    Without the memo the identities workload took about 1.18x as long.
+    A symbol without poles splits as B = 1 over D_out = 1."""
     d_in = np.frombuffer(d_in_key, dtype=complex)
     d_out = np.frombuffer(d_out_key, dtype=complex)
     if n_in == 0:
         a_arr = np.zeros(0, dtype=complex)
-        b_arr = np.zeros(n_out, dtype=complex)
+        b_arr = np.zeros(max(n_out, 1), dtype=complex)
         b_arr[0] = 1.0
     elif n_out == 0:
         a_arr = np.zeros(n_in, dtype=complex)
@@ -929,13 +942,15 @@ def _cancel_poles(num_arr: np.ndarray, den_arr: np.ndarray, poles: Iterable[Root
     Returns (numerator, denominator, kept poles, cancelled pole values)."""
     kept: List[Root] = []
     cancelled: List[complex] = []
+    coeffs = num_arr.tolist()  # Python scalars: the same bits, fewer conversions
     for r in poles:
         mult = r.mult
-        while mult > 0 and len(num_arr) > 1:
-            mag = _polymag_asc(num_arr, r.value)
-            if mag == 0.0 or abs(_polyval_asc(num_arr, r.value)) > tol.EPS_EQ * mag:
+        while mult > 0 and len(coeffs) > 1:
+            mag = _polymag_asc(coeffs, r.value)
+            if mag == 0.0 or abs(_polyval_asc(coeffs, r.value)) > tol.EPS_EQ * mag:
                 break
             num_arr = _deflate_root(num_arr, r.value)
+            coeffs = num_arr.tolist()
             cancelled.append(r.value)
             mult -= 1
         if mult > 0:
@@ -943,6 +958,12 @@ def _cancel_poles(num_arr: np.ndarray, den_arr: np.ndarray, poles: Iterable[Root
     for v in cancelled:
         den_arr = _deflate_root(den_arr, v)
     return num_arr, den_arr, kept, cancelled
+
+
+def _ascending(lp: LaurentPoly) -> bool:
+    """Whether lp's coefficients are stored in ascending exponent order."""
+    ks = [k for k, _ in lp.items()]
+    return all(j < k for j, k in zip(ks, ks[1:]))
 
 
 def _asc_from_zero(lp: LaurentPoly) -> np.ndarray:
@@ -957,14 +978,14 @@ def _asc_from_zero(lp: LaurentPoly) -> np.ndarray:
     return arr
 
 
-def _polyval_asc(arr: np.ndarray, v: complex) -> complex:
+def _polyval_asc(arr: Sequence[complex], v: complex) -> complex:
     out = 0.0 + 0.0j
     for c in arr[::-1]:
         out = out * v + c
     return out
 
 
-def _polymag_asc(arr: np.ndarray, v: complex) -> float:
+def _polymag_asc(arr: Sequence[complex], v: complex) -> float:
     """Horner magnitude sum |c_k| |v|^k: the natural scale for value tests."""
     out = 0.0
     av = abs(v)

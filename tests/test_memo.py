@@ -11,8 +11,9 @@ import pytest
 from pairedk import LaurentPoly, RationalSymbol
 from pairedk import laurent, rational
 from pairedk.laurent import MEMO_SIZE
-from pairedk.properties import RunConfig, run_property
+from pairedk.properties import GENERIC, RunConfig, run_property
 from pairedk.roots import LOC_IN, LOC_OUT, Root
+from pairedk.sampling import sample_l2_function, sample_symbol, trial_rng
 
 R = RationalSymbol
 
@@ -125,6 +126,22 @@ def test_split_key_is_the_denominator_bits_it_reads():
     assert splits[0].d_in.tobytes() == np.array([-0.5, 1.0], dtype=complex).tobytes()
     shifted = R(1.0, 0, (), (Root(0.5 + 1e-16j, 1, LOC_IN), out))._invden_split()
     assert shifted is not splits[0] and rational._split.cache_info().currsize == 2
+
+
+def test_split_factors_are_the_expansions_of_each_sides_poles():
+    symbols = [mixed_symbol(), R.monomial(-2, 0.5), R(2.0, 1, (), (Root(-0.5j, 3, LOC_IN),))]
+    for i in range(20):
+        rng = trial_rng(23, i)
+        symbols += [sample_symbol(GENERIC, rng), sample_l2_function(GENERIC, rng)]
+    for sym in symbols:
+        split = sym._invden_split()
+        for side in (LOC_IN, LOC_OUT):
+            roots = [r.value for r in sym.poles if (r.loc == LOC_IN) == (side == LOC_IN) for _ in range(r.mult)]
+            want = LaurentPoly.from_roots(roots)
+            poly, arr = (split.den_in, split.d_in) if side == LOC_IN else (split.den_out, split.d_out)
+            assert bits(poly) == bits(want) and poly.norm_inf() == want.norm_inf()
+            assert (poly.lo, poly.hi) == (0, len(roots))
+            assert arr.tobytes() == rational._asc_from_zero(want).tobytes() and not arr.flags.writeable
 
 
 def test_memos_stay_within_their_bound():

@@ -1,6 +1,8 @@
+import cmath
 import json
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -266,6 +268,14 @@ def test_quotient_cancellation_to_shift():
     assert (a / b).equals(R.monomial(-1))
 
 
+@pytest.mark.parametrize("zero", [0, 0.0, 0j, np.float64(0.0)])
+def test_division_by_a_zero_number_raises_zero_denominator(zero):
+    f = C({0: 1, 1: 0.5})
+    for divisor in (zero, R.zero()):
+        with pytest.raises(ZeroDenominator):
+            f / divisor
+
+
 def test_inner_product_matches_fft():
     f = C({0: 1, -1: 2}) / C({0: 3.0, 1: 1})
     g = C({1: 1, 0: -0.5}) / C({0: -0.4, 1: 1})
@@ -447,3 +457,84 @@ def test_direct_plus_projection_matches_subtraction():
         subtracted = (f - f.riesz("minus")).fourier_range(-K, K)
         worst = max(worst, np.abs(direct - subtracted).max() / scale)
     assert worst <= 1e-15
+
+
+# ---------------------------------------------------------------- gate bound
+
+
+def _exact_root_distance(a0: complex, a1: complex, p: complex) -> Fraction:
+    """|p + a0/a1|^2 in exact arithmetic on the floats given."""
+    a0r, a0i, a1r, a1i = map(Fraction, (a0.real, a0.imag, a1.real, a1.imag))
+    n = a1r * a1r + a1i * a1i
+    zr, zi = -(a0r * a1r + a0i * a1i) / n, -(a0i * a1r - a0r * a1i) / n
+    return (Fraction(p.real) - zr) ** 2 + (Fraction(p.imag) - zi) ** 2
+
+
+def test_gate_bound_allows_for_rounding_at_the_radius():
+    # a1 (z - z0) with z0 at distance rho from p: where the exact root of
+    # the stored coefficients lies within rho, the rounded |q(p)| can still
+    # exceed rho * M'(x) = rho |a1|, and only the rounding slack keeps such
+    # a root from being cleared
+    rng = np.random.default_rng(3)
+    within = rounded_past = 0
+    for i in range(1000):
+        p = cmath.rect(rng.uniform(0.2, 0.95) if i % 2 else rng.uniform(1.05, 5.0), rng.uniform(0, 2 * math.pi))
+        rho = rational._CLEAR * max(1.0, abs(p))
+        a1 = cmath.rect(rng.uniform(0.5, 2.0), rng.uniform(0, 2 * math.pi))
+        a0 = -a1 * (p + cmath.rect(rho, rng.uniform(0, 2 * math.pi)))
+        if _exact_root_distance(a0, a1, p) > Fraction(rho) ** 2:
+            continue
+        within += 1
+        rounded_past += abs(a1 * p + a0) > rho * abs(a1)
+        assert not rational._bound_clears(np.array([a0, a1]), [p])
+    assert within > 300 and rounded_past > 30
+
+
+# ---------------------------------------------------------------- cached forms
+
+
+def _bits(lp: LaurentPoly):
+    items = list(lp.items())
+    return [k for k, _ in items], np.array([v for _, v in items], dtype=complex).tobytes(), lp.norm_inf()
+
+
+def test_from_fraction_caches_equal_the_array_path(monkeypatch):
+    # where from_fraction keeps the caller's num and den, they must be what
+    # rebuilding them from the arrays gives, bit for bit and in storage order
+    original = R.from_fraction.__func__
+    kept = []
+
+    def checked(cls, num, den, den_roots=None):
+        sym = original(cls, num, den, den_roots)
+        if not sym.is_zero:
+            n_lo, n_arr = num.to_array()
+            d_lo, d_arr = den.to_array()
+            roots = den_roots if den_roots is not None else poly_roots(den).roots
+            p_arr, q_arr, _, _ = rational._cancel_poles(n_arr, d_arr, roots)
+            d_lead = d_arr[-1]
+            assert _bits(sym._num) == _bits(LaurentPoly.from_array(n_lo - d_lo, p_arr / d_lead))
+            assert _bits(sym._den) == _bits(LaurentPoly.from_array(0, q_arr / d_lead))
+            kept.append(sym._num is num and sym._den is den)
+        return sym
+
+    monkeypatch.setattr(R, "from_fraction", classmethod(checked))
+    for i in range(30):
+        rng = trial_rng(17, i)
+        a, b = sample_symbol(GENERIC, rng), sample_symbol(GENERIC, rng)
+        f = sample_l2_function(GENERIC, rng)
+        for x in (f, a * f, (a - b) * f, f + a):
+            x.riesz("plus")
+            x.riesz("minus")
+    assert any(kept) and not all(kept)
+
+
+def test_value_test_bits_do_not_depend_on_the_scalar_type():
+    # _cancel_poles runs its Horner loops on Python complex numbers; numpy
+    # scalars, which the loops once read, give the same bits
+    for i in range(40):
+        rng = trial_rng(29, i)
+        f = sample_symbol(GENERIC, rng) * sample_l2_function(GENERIC, rng)
+        _, arr = f.num.shift(-f.num.lo).to_array()
+        for v in [r.value for r in f.poles] + [complex(w) for w in rng.normal(size=(4, 2)) @ [1, 1j]]:
+            for fn in (rational._polyval_asc, rational._polymag_asc):
+                assert np.array([fn(arr, v)]).tobytes() == np.array([fn(arr.tolist(), v)]).tobytes()
