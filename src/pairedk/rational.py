@@ -11,10 +11,12 @@ and a product keeps its two factors' zeros; the zeros are located (by
 ``poly_roots``) and merged on first read, with the same calls and the same
 tolerances as at construction, so they come out as an eager computation
 would give them.  Poles are always located.  Fourier windows and Riesz
-projections never read zeros.  The product's proximity gate (a zero within
-1e-6 of a pole triggers the pole-cancellation value test) is decided by a
-value bound first: where the numerator's value at a pole exceeds what its
-derivative bound allows within 1e-4 of the pole, no zero is located.
+projections never read zeros.  Products and ``from_zpk`` cancel by one
+rule: a pole is value-tested only when a zero lies within 1e-6 of it, and
+nothing cancels by distance alone (``from_fraction`` value-tests every
+pole).  The proximity gate is decided by a value bound first: where the
+numerator's value at a pole exceeds what its derivative bound allows within
+1e-4 of the pole, no zero is located.
 
 Every Fourier window of num/den is num convolved with a window of the split
 1/den = A/D_in + B/D_out, and only ``_Split.window`` knows how the split's
@@ -88,21 +90,6 @@ def _same_root(u: complex, v: complex) -> bool:
     return abs(u - v) <= tol.EPS_CANCEL * max(1.0, abs(v))
 
 
-def _match_cancel(zeros: List[Root], poles: List[Root]):
-    """Cancel zero/pole pairs whose values coincide within the cluster radius."""
-    zs = [[r.value, r.mult, r.loc] for r in zeros]
-    ps = [[r.value, r.mult, r.loc] for r in poles]
-    for p in ps:
-        for z in zs:
-            if z[1] and p[1] and _same_root(z[0], p[0]):
-                c = min(z[1], p[1])
-                z[1] -= c
-                p[1] -= c
-    new_z = [Root(v, m, loc) for v, m, loc in zs if m > 0]
-    new_p = [Root(v, m, loc) for v, m, loc in ps if m > 0]
-    return new_z, new_p
-
-
 def _merge_union(a: Sequence[Root], b: Sequence[Root]) -> List[Root]:
     """Multiset union with cluster matching; multiplicity is the max per value."""
     out = [[r.value, r.mult, r.loc] for r in a]
@@ -129,12 +116,13 @@ def _deficit(union: Sequence[Root], have: Sequence[Root]) -> List[complex]:
     return vals
 
 
-# The product's proximity gate: a zero within _GATE * max(1, |p|) of a pole p
-# sends the product through the pole-cancellation value test.  A value bound
-# that rules out every zero within _CLEAR * max(1, |p|) decides the gate
-# without locating zeros; the factor 100 between the two radii absorbs the
-# rounding of located roots.  The bound pays: locating zeros for every gate
-# made the identities workload about 1.3x as long.
+# The proximity gate: a zero within _GATE * max(1, |p|) of a pole p sends p,
+# and only p, through the value test of _cancel_poles (a far zero cluster can
+# pass that test on its Horner magnitude alone).  A value bound that rules
+# out every zero within _CLEAR * max(1, |p|) decides the gate without
+# locating zeros; the factor 100 between the two radii absorbs the rounding
+# of located roots.  The bound pays: locating zeros for every gate made the
+# identities workload about 1.3x as long.
 _GATE = 1e-6
 _CLEAR = 1e-4
 # Rounding of a Horner sum, per coefficient, relative to the sum of the
@@ -279,10 +267,14 @@ class RationalSymbol:
 
     @classmethod
     def from_zpk(cls, gain: complex, zpow: int, zeros: Iterable[Root], poles: Iterable[Root]) -> "RationalSymbol":
-        zs, ps = _match_cancel(list(zeros), list(poles))
+        """Repeated entries merge; a zero beside a pole is left to the
+        product's value test, as for any other product."""
+        zs, ps = _combine_repeats(list(zeros)), _combine_repeats(list(poles))
         for r in zs + ps:
             if r.value == 0:
                 raise ValueError("zeros/poles at the origin belong in zpow")
+        if _near(zs, [p.value for p in ps]):
+            return cls(gain, zpow, zs, ()) * cls(1.0, 0, (), ps)
         return cls(gain, zpow, zs, ps)
 
     @classmethod
@@ -408,36 +400,30 @@ class RationalSymbol:
         poles = list(self.poles) + list(other.poles)
         num_prod = self.num * other.num
         den_prod = self.den * other.den
-        # only a zero near a pole can cancel (a zero kept next to a pole by an
-        # operand was already adjudicated and must not be re-matched by
-        # distance); the value test of _cancel_poles decides
+        # only a zero near a pole can cancel it (a zero kept next to a pole by
+        # an operand was already adjudicated and must not be re-matched by
+        # distance); the value test of _cancel_poles decides, for those poles
         pvals = [p.value for p in poles]
         if _gate(self, pvals) or _gate(other, pvals):
             zeros = list(self.zeros) + list(other.zeros)
+            tested = [p for p in poles if _near(zeros, (p.value,))]
             lo = num_prod.lo
             arr, d_arr, kept_poles, cancelled = _cancel_poles(
-                _asc_from_zero(num_prod.shift(-lo)), _asc_from_zero(den_prod), poles
+                _asc_from_zero(num_prod.shift(-lo)), _asc_from_zero(den_prod), tested
             )
             num_prod = LaurentPoly.from_array(lo, arr)
             den_prod = LaurentPoly.from_array(0, d_arr)
+            # each zero loses one unit per cancelled pole beside it, up to its
+            # multiplicity; a cancelled pole is matched to one zero only
             kept_zeros: List[Root] = []
-            remaining = list(cancelled)
+            remaining = cancelled
             for z in zeros:
-                mult = z.mult
-                for _ in range(z.mult):
-                    hit = None
-                    for i, v in enumerate(remaining):
-                        if abs(z.value - v) <= _GATE * max(1.0, abs(v)):
-                            hit = i
-                            break
-                    if hit is None:
-                        break
-                    remaining.pop(hit)
-                    mult -= 1
-                if mult > 0:
-                    kept_zeros.append(Root(z.value, mult, z.loc))
+                hits = [i for i, v in enumerate(remaining) if _near((z,), (v,))][: z.mult]
+                remaining = [v for i, v in enumerate(remaining) if i not in hits]
+                if z.mult > len(hits):
+                    kept_zeros.append(Root(z.value, z.mult - len(hits), z.loc))
             zs = _combine_repeats(kept_zeros)
-            poles = kept_poles
+            poles = [p for p in poles if p not in tested] + kept_poles
         else:
             zs = _product_zeros(self._zeros, other._zeros)
         ps = _combine_repeats(poles)
@@ -804,12 +790,12 @@ class RationalSymbol:
             out = []
             for e in entries:
                 v = complex(e["z"][0], e["z"][1])
-                loc = e.get("loc")
-                if loc is None:
-                    loc = classify(v)
-                elif loc not in (LOC_IN, LOC_ON, LOC_OUT):
-                    raise ValueError(f"bad location tag {loc!r}")
-                out.append(Root(v, int(e.get("m", 1)), loc))
+                loc, m = classify(v), int(e.get("m", 1))
+                if e.get("loc", loc) != loc:
+                    raise ValueError(f"location tag {e['loc']!r} contradicts |z| = {abs(v)!r}")
+                if m < 1:
+                    raise ValueError(f"multiplicity {m} is below 1")
+                out.append(Root(v, m, loc))
             return out
 
         return cls.from_zpk(gain, zpow, load(data.get("zeros", [])), load(data.get("poles", [])))
@@ -946,8 +932,8 @@ def _cancel_poles(num_arr: np.ndarray, den_arr: np.ndarray, poles: Iterable[Root
     for r in poles:
         mult = r.mult
         while mult > 0 and len(coeffs) > 1:
-            mag = _polymag_asc(coeffs, r.value)
-            if mag == 0.0 or abs(_polyval_asc(coeffs, r.value)) > tol.EPS_EQ * mag:
+            val, mag = _horner_asc(coeffs, r.value)
+            if mag == 0.0 or abs(val) > tol.EPS_EQ * mag:
                 break
             num_arr = _deflate_root(num_arr, r.value)
             coeffs = num_arr.tolist()
@@ -978,20 +964,14 @@ def _asc_from_zero(lp: LaurentPoly) -> np.ndarray:
     return arr
 
 
-def _polyval_asc(arr: Sequence[complex], v: complex) -> complex:
-    out = 0.0 + 0.0j
+def _horner_asc(arr: Sequence[complex], v: complex) -> Tuple[complex, float]:
+    """The value at v and the Horner magnitude sum |c_k| |v|^k, the natural
+    scale for value tests, in one pass."""
+    out, mag, av = 0.0 + 0.0j, 0.0, abs(v)
     for c in arr[::-1]:
         out = out * v + c
-    return out
-
-
-def _polymag_asc(arr: Sequence[complex], v: complex) -> float:
-    """Horner magnitude sum |c_k| |v|^k: the natural scale for value tests."""
-    out = 0.0
-    av = abs(v)
-    for c in arr[::-1]:
-        out = out * av + abs(c)
-    return out
+        mag = mag * av + abs(c)
+    return out, mag
 
 
 def _deflate_root(coeffs_asc: np.ndarray, v: complex) -> np.ndarray:

@@ -29,10 +29,11 @@ EPS_CIRCLE = 1e-9
 # Radius used when clustering near-identical roots into multiple roots.
 EPS_CLUSTER = 1e-7
 
-# Radius for zero/pole cancellation matching.  Much tighter than EPS_CLUSTER:
-# genuine common factors reproduce to ~1e-13 through exact arithmetic, while
-# sampled data can legitimately place a zero within 1e-7 of a pole, and
-# cancelling such a pair would corrupt the function at that scale.
+# Radius within which two entries of root lists name one root, when repeated
+# entries merge and when a sum's common denominator is formed.  It cancels
+# nothing: a zero cancels a pole only where the numerator passes the value
+# test at that pole, since data can place a zero within any fixed radius of a
+# pole without the function being regular there.
 EPS_CANCEL = 1e-9
 
 # Coefficients below EPS_DROP * (scale) are pruned from Laurent polynomials.

@@ -336,9 +336,21 @@ def test_missing_or_unsupported_symbol_is_usage_error(capsys, argv, missing):
         ('{"zpow":0,"zeros":[],"poles":[{"z":[0.5,0]}]}', "KeyError"),
         ('{"gain":[1],"zpow":0}', "IndexError"),
         ('{"gain":[1,0],"poles":[{"z":[0.5,0],"loc":"far"}]}', "ValueError"),
+        ('{"gain":[1,0],"poles":[{"z":[2,0],"loc":"in"}]}', "ValueError"),
+        ('{"gain":[1,0],"zeros":[{"z":[0.5,0],"m":0}]}', "ValueError"),
+        ('{"gain":[1,0],"poles":[{"z":[0.5,0],"m":-1}]}', "ValueError"),
         ("[1, 2]", "TypeError"),
     ],
-    ids=["coeff-not-a-pair", "zpk-without-gain", "short-gain", "bad-location", "not-an-object"],
+    ids=[
+        "coeff-not-a-pair",
+        "zpk-without-gain",
+        "short-gain",
+        "bad-location",
+        "contradictory-location",
+        "zero-multiplicity",
+        "negative-multiplicity",
+        "not-an-object",
+    ],
 )
 def test_malformed_symbol_json_is_usage_error(capsys, tmp_path, symbol, error):
     path = tmp_path / "g.json"

@@ -37,6 +37,8 @@ from pairedk.errors import (
 )
 from pairedk.sampling import SamplerProfile, sample_pair_with_kernel, trial_rng
 
+import fftcheck as fc
+
 R = RationalSymbol
 
 
@@ -374,6 +376,20 @@ def test_j_map_inverse_auto_witness_and_round_trip():
         assert j_map(psi, pair).equals(el.total)
 
 
+def test_j_map_inverse_auto_witness_through_a():
+    # b = z(z - 1) vanishes on the circle and a = 1 + z/2 does not, so the
+    # witnesses are (1/a, 0); psi = -(z - 1)/a + 1/z solves a P+ psi = -b P- psi
+    a, b = C({0: 1, 1: 0.5}), C({1: -1, 2: 1})
+    pair = SymbolPair(a, b)
+    psi = R.monomial(-1) - C({0: -1, 1: 1}) / a
+    out = j_map(psi, pair, inverse=True)
+    z = fc.circle_grid(4096)
+    A, B, OUT, PSI = (fc.eval_json(s.to_json(), z) for s in (a, b, out, psi))
+    assert fc.rel(fc.riesz(A * OUT, "plus"), A * OUT) <= 1e-12
+    assert fc.rel(fc.riesz(B * OUT, "minus"), B * OUT) <= 1e-12
+    assert fc.rel((A - B) * OUT - PSI, PSI) <= 1e-12
+
+
 def test_j_map_partition_of_unity_guard():
     p = SymbolPair(R.const(1), R.monomial(1))
     with pytest.raises(PartitionOfUnityFails):
@@ -395,6 +411,23 @@ def test_sigma_inclusion_outer_multipliers_equal():
     h_plus = C({0: 2, 1: 1})  # z + 2, outer
     q = SymbolPair(p.a * h_minus, p.b * h_plus)
     assert sigma_inclusion(p, q) == "equal"
+
+
+def test_sigma_inclusion_needs_oracle_decides_by_multipliers():
+    # b = z^2 (z - 1) puts a circle pole in each quotient, so no kernel is
+    # enumerated; ker(P+ 1 + P- b) = span{1/z, 1/z^2}, and a = 1/z adds 1
+    p = SymbolPair(R.const(1), C({2: -1, 3: 1}))
+    q = SymbolPair(R.monomial(-1), p.b)
+    outer = SymbolPair(p.a, p.b * C({0: 2, 1: 1}))
+    assert transposed_kernel(p).status == transposed_kernel(q).status == "needs_oracle"
+    assert sigma_inclusion(p, q) == "subset"
+    assert sigma_inclusion(q, p) == "no_subset"
+    assert sigma_inclusion(p, outer) == "equal"
+    dims = [kernel_oracle(Transposed(x.a, x.b), 64).dim_estimate for x in (p, q, outer)]
+    assert dims == [2, 3, 2]
+    # 1/z and 1/z^2 lie in all three kernels, 1 in q's alone
+    for k, want in ((0, [False, True, False]), (-1, [True] * 3), (-2, [True] * 3)):
+        assert [member_Sigma(R.monomial(k), x) for x in (p, q, outer)] == want
 
 
 def test_sigma_inclusion_nested_model_spaces():
