@@ -11,12 +11,14 @@ and a product keeps its two factors' zeros; the zeros are located (by
 ``poly_roots``) and merged on first read, with the same calls and the same
 tolerances as at construction, so they come out as an eager computation
 would give them.  Poles are always located.  Fourier windows and Riesz
-projections never read zeros.  Products and ``from_zpk`` cancel by one
-rule: a pole is value-tested only when a zero lies within 1e-6 of it, and
-nothing cancels by distance alone (``from_fraction`` value-tests every
-pole).  The proximity gate is decided by a value bound first: where the
-numerator's value at a pole exceeds what its derivative bound allows within
-1e-4 of the pole, no zero is located.
+projections never read zeros.
+
+A zero cancels a pole by one rule, in ``_cancel_poles``, on every path
+(``from_fraction``, products, and ``from_zpk`` through the product): first
+the numerator's value at the pole must vanish relative to its Horner
+magnitude, and then a zero of the numerator must lie beside the pole.  The
+Newton disc certifies that zero without locating any; where the disc is too
+wide, zeros are located once per call.  Nothing cancels by distance alone.
 
 Every Fourier window of num/den is num convolved with a window of the split
 1/den = A/D_in + B/D_out, and only ``_Split.window`` knows how the split's
@@ -116,57 +118,40 @@ def _deficit(union: Sequence[Root], have: Sequence[Root]) -> List[complex]:
     return vals
 
 
-# The proximity gate: a zero within _GATE * max(1, |p|) of a pole p sends p,
-# and only p, through the value test of _cancel_poles (a far zero cluster can
-# pass that test on its Horner magnitude alone).  A value bound that rules
-# out every zero within _CLEAR * max(1, |p|) decides the gate without
-# locating zeros; the factor 100 between the two radii absorbs the rounding
-# of located roots.  The bound pays: locating zeros for every gate made the
-# identities workload about 1.3x as long.
+# The second half of the cancellation rule: a pole p that passes the value
+# test cancels only where a zero lies within _GATE * max(1, |p|) of it (a far
+# zero cluster can pass the value test on its Horner magnitude alone).
 _GATE = 1e-6
-_CLEAR = 1e-4
 # Rounding of a Horner sum, per coefficient, relative to the sum of the
 # moduli of its terms.
 _ROUND = 16 * np.finfo(float).eps
 
 
 def _near(zeros: Iterable[Root], pvals: Sequence[complex]) -> bool:
-    """The proximity gate on located zeros."""
+    """Whether a located zero lies within _GATE * max(1, |p|) of a pole p."""
     return any(abs(z.value - p) <= _GATE * max(1.0, abs(p)) for z in zeros for p in pvals)
 
 
-def _bound_clears(arr: np.ndarray, pvals: Sequence[complex]) -> bool:
-    """Whether every zero of the polynomial q with ascending coefficients arr
-    provably lies farther than rho = _CLEAR * max(1, |p|) from each pole
-    value p.
+def _newton_disc(coeffs: Sequence[complex], p: complex) -> bool:
+    """Whether the polynomial q with ascending coefficients ``coeffs``
+    provably has a zero within _GATE * max(1, |p|) of p, without locating
+    one.
 
-    With M(x) = sum |a_j| x^j, every |h| <= rho has
-    |q(p + h) - q(p)| <= rho * max |q'| <= rho * M'(|p| + rho), so a zero
-    within rho of p needs |q(p)| <= rho * M'(|p| + rho).  One Horner pass
-    per pole computes q(p), M(|p|) and M'(|p| + rho); the test allows for
-    the rounding of both sides, and an overflow or NaN proves nothing."""
-    coeffs = arr.tolist()[::-1]
-    if len(coeffs) < 2:
-        return True
-    mods = [abs(c) for c in coeffs]
+    For the n zeros z_i of q, q'/q = sum 1/(p - z_i), so some zero lies
+    within n |q(p) / q'(p)| of p.  One Horner pass computes q(p), q'(p) and
+    the magnitudes sum |a_j| |p|^j and sum j |a_j| |p|^(j-1) that bound
+    their rounding; the test allows for that rounding, and a NaN proves
+    nothing."""
+    n = len(coeffs) - 1
+    ap = abs(p)
+    q, dq, mag, dmag = 0j, 0j, 0.0, 0.0
+    for c in reversed(coeffs):
+        dq = dq * p + q
+        dmag = dmag * ap + mag
+        q = q * p + c
+        mag = mag * ap + abs(c)
     slack = _ROUND * len(coeffs)
-    for p in pvals:
-        ap = abs(p)
-        rho = _CLEAR * max(1.0, ap)
-        x = ap + rho
-        q, mag, m, dm = 0j, 0.0, 0.0, 0.0
-        for c, ac in zip(coeffs, mods):
-            q = q * p + c
-            mag = mag * ap + ac
-            dm = dm * x + m
-            m = m * x + ac
-        try:
-            aq = abs(q)
-        except OverflowError:
-            return False
-        if not aq > rho * dm + slack * (mag + rho * dm):
-            return False
-    return True
+    return n > 0 and n * (abs(q) + slack * mag) <= _GATE * max(1.0, ap) * (abs(dq) - slack * dmag)
 
 
 class _LazyZeros:
@@ -200,14 +185,6 @@ class _LazyZeros:
             self.roots = _sorted_roots(found)
         return self.roots
 
-    def clear_of(self, pvals: Sequence[complex]) -> bool:
-        """True only if no zero can pass the proximity gate for these poles."""
-        if self.roots is not None:
-            return not _near(self.roots, pvals)
-        if self.parts is None:
-            return _bound_clears(self.arr, pvals)
-        return all(z.clear_of(pvals) if isinstance(z, _LazyZeros) else not _near(z, pvals) for z in self.parts)
-
 
 def _product_zeros(a, b):
     """Zeros of a product whose factors have zeros a and b (tuples of roots
@@ -215,14 +192,6 @@ def _product_zeros(a, b):
     if isinstance(a, tuple) and isinstance(b, tuple):
         return _combine_repeats(list(a) + list(b))
     return _LazyZeros(parts=(a, b))
-
-
-def _gate(sym: "RationalSymbol", pvals: Sequence[complex]) -> bool:
-    """The proximity gate for one factor of a product, locating its zeros
-    only where the distance bound cannot rule the gate out."""
-    if isinstance(sym._zeros, _LazyZeros) and sym._zeros.clear_of(pvals):
-        return False
-    return _near(sym.zeros, pvals)
 
 
 class RationalSymbol:
@@ -268,7 +237,7 @@ class RationalSymbol:
     @classmethod
     def from_zpk(cls, gain: complex, zpow: int, zeros: Iterable[Root], poles: Iterable[Root]) -> "RationalSymbol":
         """Repeated entries merge; a zero beside a pole is left to the
-        product's value test, as for any other product."""
+        cancellation rule of the product, as for any other product."""
         zs, ps = _combine_repeats(list(zeros)), _combine_repeats(list(poles))
         for r in zs + ps:
             if r.value == 0:
@@ -400,30 +369,23 @@ class RationalSymbol:
         poles = list(self.poles) + list(other.poles)
         num_prod = self.num * other.num
         den_prod = self.den * other.den
-        # only a zero near a pole can cancel it (a zero kept next to a pole by
-        # an operand was already adjudicated and must not be re-matched by
-        # distance); the value test of _cancel_poles decides, for those poles
-        pvals = [p.value for p in poles]
-        if _gate(self, pvals) or _gate(other, pvals):
-            zeros = list(self.zeros) + list(other.zeros)
-            tested = [p for p in poles if _near(zeros, (p.value,))]
-            lo = num_prod.lo
-            arr, d_arr, kept_poles, cancelled = _cancel_poles(
-                _asc_from_zero(num_prod.shift(-lo)), _asc_from_zero(den_prod), tested
-            )
+        lo, arr = num_prod.to_array()
+        arr, d_arr, poles, cancelled = _cancel_poles(
+            arr, _asc_from_zero(den_prod), poles, lambda: self.zeros + other.zeros
+        )
+        if cancelled:
             num_prod = LaurentPoly.from_array(lo, arr)
             den_prod = LaurentPoly.from_array(0, d_arr)
             # each zero loses one unit per cancelled pole beside it, up to its
             # multiplicity; a cancelled pole is matched to one zero only
             kept_zeros: List[Root] = []
             remaining = cancelled
-            for z in zeros:
+            for z in self.zeros + other.zeros:
                 hits = [i for i, v in enumerate(remaining) if _near((z,), (v,))][: z.mult]
                 remaining = [v for i, v in enumerate(remaining) if i not in hits]
                 if z.mult > len(hits):
                     kept_zeros.append(Root(z.value, z.mult - len(hits), z.loc))
             zs = _combine_repeats(kept_zeros)
-            poles = [p for p in poles if p not in tested] + kept_poles
         else:
             zs = _product_zeros(self._zeros, other._zeros)
         ps = _combine_repeats(poles)
@@ -535,14 +497,8 @@ class RationalSymbol:
         return self.num.eval(z) / self.den.eval(z)
 
     def equals(self, other) -> bool:
-        """Exact equality as rational functions, to a relative EPS_EQ.
-
-        Primary test: cross-multiplied coefficient residual.  When that lands
-        in the marginal band just above the tolerance (the cross product can
-        amplify conditioning of clustered roots), fall back to comparing
-        Fourier coefficient windows, which are computed stably.
-        """
-        rel = tol.EPS_EQ
+        """Exact equality as rational functions: the cross-multiplied
+        coefficient residual is at most EPS_EQ of the products' scale."""
         if isinstance(other, (int, float, complex)):
             other = RationalSymbol.const(other)
         if self.is_zero and other.is_zero:
@@ -552,21 +508,7 @@ class RationalSymbol:
         scale = a.norm_inf() + b.norm_inf()
         if scale == 0.0:
             return True
-        resid = (a - b).norm_inf() / scale
-        if resid <= rel:
-            return True
-        if resid > 1e4 * rel or self.has_circle_pole or other.has_circle_pole:
-            return False
-        return self._window_close(other)
-
-    def _window_close(self, other: "RationalSymbol") -> bool:
-        K = decay_window([self, other])  # neither has a circle pole
-        wa = self.fourier_range(-K, K)
-        wb = other.fourier_range(-K, K)
-        scale = max(float(np.abs(wa).max()), float(np.abs(wb).max()))
-        if scale == 0.0:
-            return True
-        return float(np.abs(wa - wb).max()) <= tol.EPS_EQ * scale
+        return (a - b).norm_inf() / scale <= tol.EPS_EQ
 
     # ------------------------------------------------------------------
     # Fourier data
@@ -918,16 +860,23 @@ def _combine_repeats(roots: List[Root]) -> List[Root]:
     return [Root(v, m, loc) for v, m, loc in out]
 
 
-def _cancel_poles(num_arr: np.ndarray, den_arr: np.ndarray, poles: Iterable[Root]):
+def _cancel_poles(num_arr: np.ndarray, den_arr: np.ndarray, poles: Iterable[Root], zeros=None):
     """Deflate each pole out of numerator and denominator (ascending arrays)
-    as often as the numerator vanishes there, relative to its Horner
-    magnitude.  Cancellation is decided by this value test, never by the
-    proximity of rediscovered roots: a rediscovered root can land within any
-    fixed radius of a pole without the function being regular there.
+    as often as the one cancellation rule allows, in this order:
+
+    - the value test: the numerator vanishes at the pole, relative to its
+      Horner magnitude;
+    - then a zero beside the pole: ``_newton_disc`` certifies one, or else
+      a located zero lies within _GATE * max(1, |p|) of it.
+
+    ``zeros()`` gives the located zeros of the given num_arr (by default
+    its ``poly_roots``); it is called at most once, and only for a pole
+    that passes the value test and that the Newton disc cannot decide.
 
     Returns (numerator, denominator, kept poles, cancelled pole values)."""
     kept: List[Root] = []
     cancelled: List[complex] = []
+    given, located = num_arr, None
     coeffs = num_arr.tolist()  # Python scalars: the same bits, fewer conversions
     for r in poles:
         mult = r.mult
@@ -935,6 +884,11 @@ def _cancel_poles(num_arr: np.ndarray, den_arr: np.ndarray, poles: Iterable[Root
             val, mag = _horner_asc(coeffs, r.value)
             if mag == 0.0 or abs(val) > tol.EPS_EQ * mag:
                 break
+            if not _newton_disc(coeffs, r.value):
+                if located is None:
+                    located = zeros() if zeros else poly_roots(LaurentPoly.from_array(0, given)).roots
+                if not _near(located, (r.value,)):
+                    break
             num_arr = _deflate_root(num_arr, r.value)
             coeffs = num_arr.tolist()
             cancelled.append(r.value)

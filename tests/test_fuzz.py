@@ -1,18 +1,19 @@
-"""Hypothesis fuzzing of Riesz projections and of the product's proximity
-gate over zero-pole-gain symbols.
+"""Hypothesis fuzzing of Riesz projections and of the zero-pole cancellation
+rule over zero-pole-gain symbols.
 
 Poles lie in the sampler's annuli, 0.2-0.8 inside and 1.25-5 outside, at
 least 0.05 apart and of multiplicity 1 or 2; zeros lie inside, outside or on
 the circle.  Every projection is checked algebraically (P+ + P- = id, each
 side idempotent and annihilating the other's image) and against the FFT of
-f on a 4 096-point grid.  The gate's value bound must never clear a zero
-planted within its radius of a pole, and the gate must answer as the test
-on located zeros does."""
+f on a 4 096-point grid.  The Newton disc must never certify a zero beside
+a pole where every zero lies beyond the rule's radius, and the rule must
+give the verdict of the value test and located zeros."""
 
 import cmath
 import math
 import pickle
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -76,22 +77,22 @@ def _exact_expansion(roots, lead):
     return out
 
 
-def _keeps_its_cluster(arr, zero, mult, others, lead, s):
-    """Whether the stored coefficients arr of lead (z - zero)^mult prod (z - o)
-    provably keep mult zeros within s of ``zero``: by Rouche's theorem, when
-    the exact coefficient error stays below the exact polynomial on that
-    circle, with a factor 4 to spare for the float sums below."""
-    if s <= 0:
-        return False
-    low = abs(lead) * s**mult
-    for o in others:
-        if abs(zero - o) <= s:
+def _no_zero_within(arr, zeros, lead, center, s):
+    """Whether the stored coefficients arr of lead prod (z - zero) over
+    ``zeros`` provably have no zero within s of ``center``: every exact
+    zero lies beyond s, so on that disc the exact polynomial has modulus at
+    least |lead| prod (|zero - center| - s), which must exceed the exact
+    coefficient error there, with a factor 4 to spare for the float sums
+    below."""
+    low = abs(lead)
+    for z in zeros:
+        if abs(z - center) <= s:
             return False
-        low *= abs(zero - o) - s
-    x = abs(zero) + s
+        low *= abs(z - center) - s
+    x = abs(center) + s
     err = sum(
         math.hypot(float(Fraction(c.real) - a), float(Fraction(c.imag) - b)) * x**j
-        for j, (c, (a, b)) in enumerate(zip(arr.tolist(), _exact_expansion([zero] * mult + others, lead)))
+        for j, (c, (a, b)) in enumerate(zip(arr.tolist(), _exact_expansion(zeros, lead)))
     )
     return low > 4 * err
 
@@ -100,51 +101,56 @@ def _keeps_its_cluster(arr, zero, mult, others, lead, s):
 @given(
     st.one_of(inside, outside),
     angle,
-    st.floats(0.0, 1.0, exclude_min=True),
+    st.floats(1.0, 8.0),
     angle,
     st.integers(1, 3),
     st.lists(st.tuples(st.floats(0.1, 10.0), angle), max_size=17),
-    st.lists(st.tuples(st.one_of(inside, outside), angle), max_size=3),
 )
-def test_gate_bound_never_clears_a_planted_zero(radius, theta, t, phi, mult, others, more_poles):
+def test_newton_disc_never_certifies_a_pole_without_a_zero_beside_it(radius, theta, t, phi, mult, others):
     # a zero of multiplicity 1-3 at distance t * rho from a pole p, with
-    # rho = _CLEAR * max(1, |p|), among up to 17 other zeros (degree <= 20).
-    # Rounding the expanded coefficients moves it, so an example counts
-    # where the stored polynomial provably keeps a zero within rho of p;
-    # at t = 1 that takes exact arithmetic, which the linear case of
-    # tests/test_rational.py does
+    # rho = _GATE * max(1, |p|) and t >= 1, among up to 17 other zeros
+    # (degree <= 20).  Rounding the expanded coefficients moves it, so an
+    # example counts where the stored polynomial provably has no zero
+    # within rho of p; the linear case at t = 1 takes exact arithmetic,
+    # which tests/test_rational.py does
     p = cmath.rect(radius, theta)
-    rho = rational._CLEAR * max(1.0, radius)
-    zero = p + cmath.rect(t * rho, phi)
-    zvals = [cmath.rect(r, a) for r, a in others]
+    rho = rational._GATE * max(1.0, radius)
+    zeros = [p + cmath.rect(t * rho, phi)] * mult + [cmath.rect(r, a) for r, a in others]
     lead = cmath.rect(1.5, phi)
-    _, arr = LaurentPoly.from_roots([zero] * mult + zvals, lead).to_array()
-    assume(_keeps_its_cluster(arr, zero, mult, zvals, lead, (1.0 - 1e-12) * rho - abs(zero - p)))
-    pvals = [cmath.rect(r, a) for r, a in more_poles] + [p]
-    assert not rational._bound_clears(arr, pvals)
+    _, arr = LaurentPoly.from_roots(zeros, lead).to_array()
+    assume(_no_zero_within(arr, zeros, lead, p, rho))
+    assert not rational._newton_disc(arr.tolist(), p)
 
 
 @st.composite
-def gated_products(draw):
-    """A symbol with lazy zeros, some of them planted 1e-9 to 1e-2 from the
-    poles of the other factor, and those poles."""
+def planted_products(draw):
+    """A symbol with lazy zeros, some of them planted 1e-12 to 1e-2 from the
+    poles of a second symbol, and that second symbol."""
     poles = draw(st.lists(st.tuples(st.one_of(inside, outside), angle), min_size=1, max_size=3))
     pvals = [cmath.rect(r, a) for r, a in poles]
     zeros = draw(st.lists(st.tuples(st.one_of(inside, outside), angle), max_size=4))
     zvals = [cmath.rect(r, a) for r, a in zeros]
-    for i, gap, a in draw(st.lists(st.tuples(st.integers(0, 2), st.floats(-9.0, -2.0), angle), max_size=2)):
+    for i, gap, a in draw(st.lists(st.tuples(st.integers(0, 2), st.floats(-12.0, -2.0), angle), max_size=2)):
         zvals.append(pvals[i % len(pvals)] + cmath.rect(10.0**gap, a))
     own = [cmath.rect(draw(st.one_of(inside, outside)), draw(angle))]
     f = RationalSymbol.from_fraction(LaurentPoly.from_roots(zvals, 0.7 - 0.2j), LaurentPoly.from_roots(own))
     if draw(st.booleans()):  # a product's zeros: two lazy parts
         h = RationalSymbol.from_fraction(LaurentPoly.from_roots([-0.4 + 1.1j], 1.0), LaurentPoly.from_roots([3.0]))
         f = f * h
-    return f, pvals + own
+    return f, RationalSymbol.from_zpk(1.0, 0, (), [Root(v, 1, classify(v)) for v in pvals])
+
+
+def _parts(sym):
+    return (sym.gain, sym.zpow, sym.zeros, sym.poles, dict(sym.num.items()), dict(sym.den.items()))
 
 
 @settings(max_examples=200, deadline=None)
-@given(gated_products())
-def test_gate_equals_the_test_on_located_zeros(case):
-    f, pvals = case
-    located = pickle.loads(pickle.dumps(f))
-    assert rational._gate(f, pvals) == rational._near(located.zeros, pvals)
+@given(planted_products())
+def test_rule_equals_the_value_test_and_located_zeros(case):
+    # the Newton disc only saves locating zeros: with it switched off, every
+    # pole that passes the value test is decided on located zeros
+    f, g = case
+    got = pickle.loads(pickle.dumps(f)) * g
+    with mock.patch.object(rational, "_newton_disc", lambda coeffs, p: False):
+        want = f * g
+    assert _parts(got) == _parts(want)

@@ -22,7 +22,7 @@ from pairedk import (
 from pairedk import rational, tolerances
 from pairedk.errors import PoleOnCircle, ZeroDenominator
 from pairedk.properties import GENERIC
-from pairedk.rational import decay_window
+from pairedk.rational import decay_window, probe_points
 from pairedk.roots import Root, poly_roots
 from pairedk.sampling import sample_l2_function, sample_symbol, trial_rng
 
@@ -64,19 +64,29 @@ def test_conjugate_involution_and_fourier_symmetry():
 
 
 @pytest.mark.parametrize("rel", [1e-10, 1e-9, 1e-8])
-def test_equals_window_fallback_agrees_with_the_fft(monkeypatch, rel):
-    # a gain off by rel puts the cross-multiplied residual in the marginal
-    # band above EPS_EQ, where the Fourier windows decide
+def test_equals_window_fallback_agrees_with_the_fft(rel):
+    # a gain off by rel puts the cross-multiplied residual just above
+    # EPS_EQ; the residual alone decides, as the FFT windows do
     data = {"gain": [1.0, 0.0], "zeros": [{"z": [2.0, 0.0]}], "poles": [{"z": [0.5, 0.1]}, {"z": [-1.5, 0.3]}]}
     moved = dict(data, gain=[1.0 + rel, 0.0])
-    calls = []
-    real = R._window_close
-    monkeypatch.setattr(R, "_window_close", lambda self, other: calls.append(rel) or real(self, other))
     z = fc.circle_grid(4096)
     want, got = (fc.fourier(fc.eval_json(d, z), -40, 40) for d in (data, moved))
     same = fc.rel(got - want, want) <= tolerances.EPS_EQ
     assert R.from_json(data).equals(R.from_json(moved)) is same
-    assert calls == [rel]
+
+
+@pytest.mark.parametrize("gap", [1e-9, 1e-10, 1e-11])
+def test_equals_tells_a_near_double_pole_from_its_json_round_trip(gap):
+    # f keeps the caller's den but stores a double pole, so f and its JSON
+    # round trip are different functions, though the Fourier windows of the
+    # two, which both read the stored poles, agree
+    f = R.from_fraction(LaurentPoly.one(), LaurentPoly.from_roots([0.5, 0.5 + gap]))
+    g = R.from_json(f.to_json())
+    z = fc.circle_grid(4096)
+    want, got = (fc.fourier(h.eval(z), -40, 40) for h in (f, g))
+    same = fc.rel(got - want, want) <= tolerances.EPS_EQ
+    assert not same
+    assert f.equals(g) is same
 
 
 # ---------------------------------------------------------------- Fourier
@@ -153,9 +163,9 @@ def test_repeated_entries_merge_before_a_sum():
 
 
 def test_product_value_tests_only_the_poles_beside_a_zero():
-    # the zero at 0.3 opens the gate for the pole at 0.3 alone; the pole at
-    # 0.95 has no zero beside it, though the value test would pass it on the
-    # Horner magnitude of the 10-fold cluster at 1.1
+    # the pole at 0.3 has a zero beside it; the pole at 0.95 has none, though
+    # it passes the value test on the Horner magnitude of the 10-fold cluster
+    # at 1.1
     top = {"gain": [1.0, 0.0], "zeros": [{"z": [1.1, 0.0], "m": 10}, {"z": [0.3, 0.0]}]}
     bottom = {"gain": [1.0, 0.0], "poles": [{"z": [0.95, 0.0]}, {"z": [0.3, 0.0]}]}
     f = R.from_json(top) * R.from_json(bottom)
@@ -165,6 +175,30 @@ def test_product_value_tests_only_the_poles_beside_a_zero():
     assert fc.winding(values) == -1
     want = fc.fourier(values, -20, 20)
     assert fc.rel(f.fourier_range(-20, 20) - want, want) <= 1e-12
+
+
+def test_from_fraction_value_tests_only_the_poles_beside_a_zero():
+    # the 10-fold cluster at 1.1 passes the value test at 0.95 on its Horner
+    # magnitude, but no zero lies beside the pole, so the pole stays
+    num, den = LaurentPoly.from_roots([1.1] * 10), LaurentPoly.from_roots([0.95])
+    f = R.from_fraction(num, den)
+    assert [(r.value, r.mult) for r in f.poles] == [(0.95, 1)]
+    assert winding_index(f) == -1
+    for t in probe_points(16):
+        want = num.eval(t) / den.eval(t)
+        assert abs(f.eval(t) - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("pole,mult", [(0.95, 1), (1.0, 1), (0.5 - 0.2j, 2)])
+def test_from_fraction_cancels_a_zero_at_its_pole(pole, mult):
+    # (z - pole)^mult (z - 1.1)^3 / (z - pole)^mult is a polynomial; a double
+    # zero splits under rounding, so the Newton disc may leave it to the
+    # located zeros
+    num = LaurentPoly.from_roots([pole] * mult + [1.1] * 3)
+    f = R.from_fraction(num, LaurentPoly.from_roots([pole] * mult))
+    assert f.poles == () and f.den.support() == [0]
+    assert winding_index(f) == 0
+    assert f.equals(R.from_fraction(LaurentPoly.from_roots([1.1] * 3), LaurentPoly.one()))
 
 
 def test_subnormal_coefficients_keep_their_root():
@@ -359,8 +393,6 @@ def test_json_round_trip_probe_agreement():
         R.zero(),
         R.monomial(-3, 2j),
     ]
-    from pairedk.rational import probe_points
-
     for s in syms:
         back = R.from_json(json.loads(json.dumps(s.to_json())))
         for t in probe_points(8):
@@ -434,12 +466,15 @@ def test_lazy_zeros_equal_eager_ones():
 
 @pytest.mark.parametrize("gap", [1e-8, 1e-7, 1e-6, 1e-5, 1e-4])
 def test_zero_near_a_pole_takes_the_fallback(monkeypatch, gap):
+    # a zero this close to a pole fails the value test, which comes first,
+    # so no zero is located and the pole stays
     pole = 0.4 + 0.2j
     f = R.from_fraction(LaurentPoly.from_roots([pole + gap, -0.3, 1.7j]), LaurentPoly.from_roots([2.5]))
     g = R(1.0, 0, (), (Root(pole, 1, "in"),))
     calls = _count_poly_roots(monkeypatch)
     lazy = f * g
-    assert calls, "the distance bound cannot clear a zero this close"
+    assert not calls
+    assert [r.value for r in lazy.poles] == [pole, 2.5]
     assert _same_symbol(lazy, _located(f) * g)
 
 
@@ -507,7 +542,7 @@ def test_direct_plus_projection_matches_subtraction():
     assert worst <= 1e-15
 
 
-# ---------------------------------------------------------------- gate bound
+# ---------------------------------------------------------------- Newton disc
 
 
 def _exact_root_distance(a0: complex, a1: complex, p: complex) -> Fraction:
@@ -518,24 +553,24 @@ def _exact_root_distance(a0: complex, a1: complex, p: complex) -> Fraction:
     return (Fraction(p.real) - zr) ** 2 + (Fraction(p.imag) - zi) ** 2
 
 
-def test_gate_bound_allows_for_rounding_at_the_radius():
+def test_newton_disc_allows_for_rounding_at_the_radius():
     # a1 (z - z0) with z0 at distance rho from p: where the exact root of
-    # the stored coefficients lies within rho, the rounded |q(p)| can still
-    # exceed rho * M'(x) = rho |a1|, and only the rounding slack keeps such
-    # a root from being cleared
+    # the stored coefficients lies beyond rho, the rounded |q(p) / q'(p)|
+    # can still fall within rho, and only the rounding slack keeps such a
+    # root from being certified
     rng = np.random.default_rng(3)
-    within = rounded_past = 0
+    beyond = rounded_within = 0
     for i in range(1000):
         p = cmath.rect(rng.uniform(0.2, 0.95) if i % 2 else rng.uniform(1.05, 5.0), rng.uniform(0, 2 * math.pi))
-        rho = rational._CLEAR * max(1.0, abs(p))
+        rho = rational._GATE * max(1.0, abs(p))
         a1 = cmath.rect(rng.uniform(0.5, 2.0), rng.uniform(0, 2 * math.pi))
         a0 = -a1 * (p + cmath.rect(rho, rng.uniform(0, 2 * math.pi)))
-        if _exact_root_distance(a0, a1, p) > Fraction(rho) ** 2:
+        if _exact_root_distance(a0, a1, p) <= Fraction(rho) ** 2:
             continue
-        within += 1
-        rounded_past += abs(a1 * p + a0) > rho * abs(a1)
-        assert not rational._bound_clears(np.array([a0, a1]), [p])
-    assert within > 300 and rounded_past > 30
+        beyond += 1
+        rounded_within += abs(a1 * p + a0) <= rho * abs(a1)
+        assert not rational._newton_disc([a0, a1], p)
+    assert beyond > 300 and rounded_within > 30
 
 
 # ---------------------------------------------------------------- cached forms
