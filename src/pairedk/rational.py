@@ -19,6 +19,12 @@ the numerator's value at the pole must vanish relative to its Horner
 magnitude, and then a zero of the numerator must lie beside the pole.  The
 Newton disc certifies that zero without locating any; where the disc is too
 wide, zeros are located once per call.  Nothing cancels by distance alone.
+A sum tries only the poles both summands hold: a pole of one summand keeps
+its principal part in the sum.
+
+Two root entries name one root exactly when their values are equal
+(``poly_roots`` has clustered located roots within ``eps_cluster``), and
+every merge of root lists is one pass over a multiset keyed by value.
 
 Every Fourier window of num/den is num convolved with a window of the split
 1/den = A/D_in + B/D_out, and only ``_Split.window`` knows how the split's
@@ -87,35 +93,20 @@ def _sorted_roots(roots: Iterable[Root]) -> Tuple[Root, ...]:
     return tuple(sorted(roots, key=lambda r: (r.value.real, r.value.imag, r.mult)))
 
 
-def _same_root(u: complex, v: complex) -> bool:
-    """Whether u and v name one root: within EPS_CANCEL, relative to v."""
-    return abs(u - v) <= tol.EPS_CANCEL * max(1.0, abs(v))
+def _multiset(roots: Iterable[Root]) -> Dict[complex, Root]:
+    """Root entries keyed by value, in order of first appearance: entries of
+    equal value are one root, with the summed multiplicity and the first
+    entry's loc."""
+    out: Dict[complex, Root] = {}
+    for r in roots:
+        have = out.get(r.value)
+        out[r.value] = r if have is None else Root(have.value, have.mult + r.mult, have.loc)
+    return out
 
 
-def _merge_union(a: Sequence[Root], b: Sequence[Root]) -> List[Root]:
-    """Multiset union with cluster matching; multiplicity is the max per value."""
-    out = [[r.value, r.mult, r.loc] for r in a]
-    for r in b:
-        for o in out:
-            if _same_root(o[0], r.value):
-                o[1] = max(o[1], r.mult)
-                break
-        else:
-            out.append([r.value, r.mult, r.loc])
-    return [Root(v, m, loc) for v, m, loc in out]
-
-
-def _deficit(union: Sequence[Root], have: Sequence[Root]) -> List[complex]:
-    """Root multiset union \\ have, as a flat list of values."""
-    vals: List[complex] = []
-    for u in union:
-        m = u.mult
-        for h in have:
-            if _same_root(h.value, u.value):
-                m -= h.mult
-                break
-        vals.extend([u.value] * max(0, m))
-    return vals
+def _combine_repeats(roots: Iterable[Root]) -> Tuple[Root, ...]:
+    """Merge root entries of equal value, sorted by value."""
+    return _sorted_roots(_multiset(roots).values())
 
 
 # The second half of the cancellation rule: a pole p that passes the value
@@ -181,7 +172,7 @@ class _LazyZeros:
                 self.arr = None
             else:
                 a, b = (z.resolve() if isinstance(z, _LazyZeros) else z for z in self.parts)
-                found = _combine_repeats(list(a) + list(b))
+                found = _combine_repeats(a + b)
             self.roots = _sorted_roots(found)
         return self.roots
 
@@ -190,7 +181,7 @@ def _product_zeros(a, b):
     """Zeros of a product whose factors have zeros a and b (tuples of roots
     or _LazyZeros), merged as ``_combine_repeats`` merges them."""
     if isinstance(a, tuple) and isinstance(b, tuple):
-        return _combine_repeats(list(a) + list(b))
+        return _combine_repeats(a + b)
     return _LazyZeros(parts=(a, b))
 
 
@@ -238,7 +229,7 @@ class RationalSymbol:
     def from_zpk(cls, gain: complex, zpow: int, zeros: Iterable[Root], poles: Iterable[Root]) -> "RationalSymbol":
         """Repeated entries merge; a zero beside a pole is left to the
         cancellation rule of the product, as for any other product."""
-        zs, ps = _combine_repeats(list(zeros)), _combine_repeats(list(poles))
+        zs, ps = _combine_repeats(zeros), _combine_repeats(poles)
         for r in zs + ps:
             if r.value == 0:
                 raise ValueError("zeros/poles at the origin belong in zpow")
@@ -258,18 +249,24 @@ class RationalSymbol:
             raise ZeroDenominator("denominator is identically zero")
         if num.is_zero:
             return cls.zero()
+        return cls._reduce(num, den, poly_roots(den).roots if den_roots is None else den_roots)
+
+    @classmethod
+    def _reduce(
+        cls, num: LaurentPoly, den: LaurentPoly, tested: Sequence[Root], held: Sequence[Root] = ()
+    ) -> "RationalSymbol":
+        """num/den, both nonzero, where den has the roots ``tested`` and
+        ``held``: the cancellation rule tries the roots in ``tested`` only."""
         n_lo, n_arr = num.to_array()
         d_lo, d_arr = den.to_array()
         zpow = n_lo - d_lo
-        if den_roots is None:
-            den_roots = poly_roots(den).roots
         d_lead = d_arr[-1]
-        p_arr, q_arr, kept_poles, _ = _cancel_poles(n_arr, d_arr, den_roots)
+        p_arr, q_arr, kept_poles, _ = _cancel_poles(n_arr, d_arr, tested)
         zeros = _LazyZeros(p_arr)
         if len(p_arr) - 1 > MAX_DEGREE or not np.isfinite(p_arr).all():
             zeros.resolve()  # raises now, where an eager location would
         gain = p_arr[-1] / d_lead
-        sym = cls(gain, zpow, zeros, kept_poles)
+        sym = cls(gain, zpow, zeros, kept_poles + list(held))
         # exact coefficient caches from the caller's data, deflation included;
         # where nothing cancelled and den is monic from z^0 they are num and
         # den themselves, provided both run in ascending exponent order, the
@@ -421,8 +418,14 @@ class RationalSymbol:
             return other
         if other.is_zero:
             return self
-        union = _merge_union(self.poles, other.poles)
-        a, b = (_over_union(s, union) for s in (self, other))
+        # the multiset union: each pole at the larger of its two multiplicities
+        mine, theirs = _multiset(self.poles), _multiset(other.poles)
+        union = dict(mine)
+        for v, r in theirs.items():
+            u = union.setdefault(v, r)
+            if u.mult < r.mult:
+                union[v] = Root(u.value, r.mult, u.loc)
+        a, b = (_over_union(s.num, have, union) for s, have in ((self, mine), (other, theirs)))
         scale = a.norm_inf() + b.norm_inf()
         csum: Dict[int, complex] = {}
         for k, v in a.items():
@@ -432,8 +435,12 @@ class RationalSymbol:
         num = LaurentPoly(csum, scale=scale)
         if num.is_zero or num.norm_inf() <= tol.EPS_EQ * scale:
             return RationalSymbol.zero()
-        den = LaurentPoly.from_roots([v for r in union for v in [r.value] * r.mult])
-        return RationalSymbol.from_fraction(num, den, den_roots=union)
+        den = LaurentPoly.from_roots([v for r in union.values() for v in [r.value] * r.mult])
+        # a pole of one summand keeps its principal part in the sum
+        both = mine.keys() & theirs.keys()
+        shared = [r for v, r in union.items() if v in both]
+        held = [r for v, r in union.items() if v not in both]
+        return RationalSymbol._reduce(num, den, shared, held)
 
     __radd__ = __add__
 
@@ -750,10 +757,11 @@ class RationalSymbol:
         return f"RationalSymbol(gain={self.gain:.4g}, z^{self.zpow}, zeros=[{zs}], poles=[{ps}])"
 
 
-def _over_union(sym: RationalSymbol, union: Sequence[Root]) -> LaurentPoly:
-    """The numerator of sym over the common denominator of ``union``."""
-    missing = _deficit(union, sym.poles)
-    return sym.num * LaurentPoly.from_roots(missing) if missing else sym.num
+def _over_union(num: LaurentPoly, have: Dict[complex, Root], union: Dict[complex, Root]) -> LaurentPoly:
+    """The numerator num over the poles ``have``, brought over the common
+    denominator of the multiset ``union``, which contains ``have``."""
+    missing = [v for v, u in union.items() for _ in range(u.mult - (have[v].mult if v in have else 0))]
+    return num * LaurentPoly.from_roots(missing) if missing else num
 
 
 class _Split:
@@ -845,19 +853,6 @@ def _split(n_in: int, d_in_key: bytes, n_out: int, d_out_key: bytes) -> _Split:
         a_arr = sol[:n_in]
         b_arr = sol[n_in:]
     return _Split(a_arr, d_in, b_arr, d_out)
-
-
-def _combine_repeats(roots: List[Root]) -> List[Root]:
-    """Merge root entries that refer to the same clustered value."""
-    out: List[List] = []
-    for r in sorted(roots, key=lambda t: (t.value.real, t.value.imag)):
-        for o in out:
-            if _same_root(o[0], r.value):
-                o[1] += r.mult
-                break
-        else:
-            out.append([r.value, r.mult, r.loc])
-    return [Root(v, m, loc) for v, m, loc in out]
 
 
 def _cancel_poles(num_arr: np.ndarray, den_arr: np.ndarray, poles: Iterable[Root], zeros=None):

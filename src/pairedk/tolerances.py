@@ -26,15 +26,10 @@ EPS_EQ = 1e-11
 # the circle.
 EPS_CIRCLE = 1e-9
 
-# Radius used when clustering near-identical roots into multiple roots.
+# Radius used when clustering near-identical roots into multiple roots.  It
+# is the only radius of root identity: after clustering, two root entries
+# name one root exactly when their values are equal.
 EPS_CLUSTER = 1e-7
-
-# Radius within which two entries of root lists name one root, when repeated
-# entries merge and when a sum's common denominator is formed.  It cancels
-# nothing: a zero cancels a pole only where the numerator passes the value
-# test at that pole, since data can place a zero within any fixed radius of a
-# pole without the function being regular there.
-EPS_CANCEL = 1e-9
 
 # Coefficients below EPS_DROP * (scale) are pruned from Laurent polynomials.
 EPS_DROP = 1e-13

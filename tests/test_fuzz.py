@@ -7,7 +7,8 @@ the circle.  Every projection is checked algebraically (P+ + P- = id, each
 side idempotent and annihilating the other's image) and against the FFT of
 f on a 4 096-point grid.  The Newton disc must never certify a zero beside
 a pole where every zero lies beyond the rule's radius, and the rule must
-give the verdict of the value test and located zeros."""
+give the verdict of the value test and located zeros.  A sum of two simple
+poles at a relative gap of 1e-10 to 1e-9 must keep both."""
 
 import cmath
 import math
@@ -154,3 +155,21 @@ def test_rule_equals_the_value_test_and_located_zeros(case):
     with mock.patch.object(rational, "_newton_disc", lambda coeffs, p: False):
         want = f * g
     assert _parts(got) == _parts(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(inside, outside), angle, st.floats(1e-10, 1e-9), angle, st.floats(0.5, 2.0), st.floats(0.5, 2.0))
+def test_sums_keep_near_coincident_poles_apart(radius, theta, gap, phi, ga, gb):
+    # simple poles p and q at a relative gap of 1e-10 to 1e-9: only equal
+    # values are one root, so the sum of g_a / (z - p) and g_b / (z - q)
+    # keeps both, in either order
+    p = cmath.rect(radius, theta)
+    q = p + cmath.rect(gap * max(1.0, radius), phi)
+    data = [{"gain": [g, 0.0], "poles": [{"z": [v.real, v.imag]}]} for g, v in ((ga, p), (gb, q))]
+    a, b = (R.from_json(d) for d in data)
+    z = fc.circle_grid(4096)
+    want = fc.fourier(fc.eval_json(data[0], z) + fc.eval_json(data[1], z), -20, 20)
+    poles = sorted([(p, 1), (q, 1)], key=lambda t: (t[0].real, t[0].imag))
+    for f in (a + b, b + a):
+        assert [(r.value, r.mult) for r in f.poles] == poles
+        assert fc.rel(f.fourier_range(-20, 20) - want, want) <= 1e-12

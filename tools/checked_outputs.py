@@ -1,0 +1,107 @@
+"""Write pairedk's checked outputs to one canonical text file.
+
+    python3 tools/checked_outputs.py OUT.txt [--root CHECKOUT]
+
+A change that must not move any answer is compared with its parent by
+running this script on both checkouts and diffing the two files:
+
+    python3 tools/checked_outputs.py parent.txt --root ../parent
+    python3 tools/checked_outputs.py change.txt
+    diff parent.txt change.txt
+
+``--root`` names the checkout whose ``src/`` and ``perfbench/`` are imported
+(by default the one holding this script), so the script also runs against a
+checkout that predates it.  Each output is one line, ``<section> <key>
+<JSON value>``, and the file holds, in order:
+
+- ``trial``: the repr of every per-trial ``(ok, detail)`` of all registered
+  properties, 6 trials at master seeds 0 and 7 (360 lines);
+- ``c4``: the same per trial for criterion C4 at its seeds (P_PRODRES
+  100@44, P_COMMEXP 100@45, P_EQUIV 100@46, P_RH 100@47; 400 lines);
+- ``kernel``: stdout, stderr and exit code of the 700 seed-1 queries of the
+  benchmark's ``kernels`` workload, run in-process through ``cli.main``; the
+  pool is built by ``perfbench/bench.py``, imported without writing
+  anything under ``perfbench/``;
+- ``suite``: the canonical payloads of ``run_suite`` over every property at
+  10 trials and master seed 0, sequentially and with ``parallelism`` 2;
+- ``payload``: the canonical payloads of criteria C5 (P_RANK1 100@48), C6
+  (P_ADJ 100@49) and C10's third run (P_COBURN_S 500@42).
+
+That is 1 465 lines.  Wall times stay out of every line.  BLAS runs on one
+thread, as in the benchmark: ``bench.py`` pins it before numpy loads.
+"""
+
+import argparse
+import contextlib
+import importlib.util
+import io
+import json
+import sys
+import time
+from pathlib import Path
+
+TRIAL_SEEDS, TRIALS = (0, 7), 6
+C4 = (("P_PRODRES", 44), ("P_COMMEXP", 45), ("P_EQUIV", 46), ("P_RH", 47))
+C4_TRIALS = 100
+KERNEL_SEED = 1
+PAYLOADS = (("C5", "P_RANK1", 100, 48), ("C6", "P_ADJ", 100, 49), ("C10", "P_COBURN_S", 500, 42))
+
+
+def load_bench(root: Path):
+    """perfbench/bench.py of ``root`` as a module: it pins BLAS to one
+    thread and puts ``root/src`` first on the import path."""
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(root / "perfbench"))
+    spec = importlib.util.spec_from_file_location("bench", root / "perfbench" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
+
+
+def trials(props, pid, seed, count):
+    cfg = props.RunConfig()
+    for i in range(count):
+        yield f"{pid}@{seed}#{i}", repr(props._run_single(pid, seed, cfg, props.tol.current(), i))
+
+
+def kernel_queries(pk, bench):
+    for query in bench.WORKLOADS["kernels"].build(pk, KERNEL_SEED):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = pk.cli.main(query["argv"])
+        yield f"query{query['i']}", [out.getvalue(), err.getvalue(), rc]
+
+
+def outputs(pk, bench):
+    props = pk.properties
+    for seed in TRIAL_SEEDS:
+        for pid in props.registered_ids():
+            yield from (("trial", k, v) for k, v in trials(props, pid, seed, TRIALS))
+    for pid, seed in C4:
+        yield from (("c4", k, v) for k, v in trials(props, pid, seed, C4_TRIALS))
+    yield from (("kernel", k, v) for k, v in kernel_queries(pk, bench))
+    for workers in (1, 2):
+        suite = props.run_suite(props.registered_ids(), 10, 0, props.RunConfig(parallelism=workers))
+        yield "suite", f"parallelism{workers}", "\n".join(r.canonical_payload() for r in suite.reports)
+    for name, pid, count, seed in PAYLOADS:
+        yield "payload", name, props.run_property(pid, count, seed, props.RunConfig()).canonical_payload()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", help="file to write")
+    parser.add_argument("--root", default=str(Path(__file__).resolve().parents[1]), help="checkout to import")
+    args = parser.parse_args(argv)
+    bench = load_bench(Path(args.root).resolve())
+    pk = bench.import_pairedk()
+    t0, counts = time.perf_counter(), {}
+    with open(args.out, "w") as fh:
+        for section, key, value in outputs(pk, bench):
+            fh.write(f"{section} {key} {json.dumps(value)}\n")
+            counts[section] = counts.get(section, 0) + 1
+    print(f"{sum(counts.values())} outputs {counts} from {pk.__file__} in {time.perf_counter() - t0:.1f} s")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
