@@ -298,7 +298,11 @@ def build_parser():
     p_factor = sub.add_parser("factor", parents=[typed], help="Wiener-Hopf or inner-outer factorization")
     p_factor.add_argument("--wh", action="store_true")
     p_factor.add_argument("--side", choices=["plus", "minus"], default="plus")
-    sub.add_parser("norm", parents=[typed], help="truncation norm lower bound")
+    sub.add_parser(
+        "norm",
+        parents=[typed],
+        help="lower bound for the norm: a singular value of the truncation at --N, normally the largest, to 4 eps",
+    )
     sub.add_parser("commutator", parents=[typed], help="commutator with a multiplier: rank and action")
     p_verify = sub.add_parser("verify", parents=[shared], help="run the property suite")
     p_verify.add_argument("--all", action="store_true")

@@ -52,6 +52,7 @@ from .errors import (
     PoleOnCircle,
     SymbolNotBounded,
     TrivialKernel,
+    WindowOverflow,
 )
 from .factorization import blaschke, inner_outer, wiener_hopf, winding_index
 from .operators import bandwidth, build, numerical_rank, truncate
@@ -571,7 +572,7 @@ def kernel_oracle(node, N: int) -> OracleResult:
     node = build(node)
     least = oracle_min_window(node)
     if N < least:
-        raise ValueError("oracle window must be at least twice the bandwidth")
+        raise WindowOverflow(f"oracle window N={N} below twice the bandwidth, {least}")
     M, d = truncate(node, N), bandwidth(node)
     A, kept = _oracle_window(M, N, d)
     A.flags.writeable = False

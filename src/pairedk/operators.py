@@ -11,7 +11,10 @@ the expression bandwidth, so polynomial inputs are mapped exactly.
 Each leaf node class owns its semantics (spaces, adjoint, exact action and
 truncation); the tree walkers below branch only on the five combinators.  A
 composition truncates as the product of its factors' truncations, padded by
-``decay_window`` (tails below 1e-16 relative; pole-free trees stay exact).
+``decay_window``: pole-free trees stay exact, and a tree with poles drops
+the coefficient tails beyond w, where r^w < 1e-16 for the largest pole decay
+radius r.  That rule ignores pole multiplicity, so the dropped tails can be
+larger (2.4e-13 relative for a triple pole at 0.7; ROADMAP item 10).
 """
 
 from __future__ import annotations
@@ -367,8 +370,10 @@ def _window(tag: SpaceTag, lo: int, hi: int) -> np.ndarray:
 
 def truncate(node, N: int) -> TruncationMatrix:
     """Rectangular truncation; column j holds the Fourier window of the image
-    of z^j.  Compositions are matrix products padded by ``decay_window``:
-    tails below 1e-16 relative are dropped, and pole-free trees stay exact."""
+    of z^j.  Compositions are matrix products padded by ``decay_window``, as
+    the module docstring says: exact for pole-free trees, else the tails
+    beyond r^w < 1e-16 are dropped, which is not a bound on them where poles
+    are multiple."""
     node = build(node)
     d = bandwidth(node)
     if N < d:
@@ -415,12 +420,81 @@ class RankResult:
 
 
 def operator_norm(node, N: int) -> float:
-    """Largest singular value of the truncation: a lower bound for the norm,
-    nondecreasing in N."""
-    M = truncate(node, N)
-    if M.entries.size == 0:
+    """A lower bound for the norm of the operator: a singular value of its
+    truncation at window N, to within ``NORM_CERT`` relative (0.0 for a zero
+    or empty truncation).
+
+    A short Golub-Kahan-Lanczos run (``_krylov_norm``) certifies its top
+    Ritz value.  That is the largest singular value unless the fixed start
+    vector has no component along the top singular vectors; then it is a
+    smaller one, still a lower bound.  Where the run certifies nothing, the
+    full SVD gives the largest singular value itself."""
+    A = truncate(node, N).entries
+    if A.size == 0:
         return 0.0
-    return float(np.linalg.svd(M.entries, compute_uv=False)[0])
+    top = _krylov_norm(A)
+    return float(np.linalg.svd(A, compute_uv=False)[0]) if top is None else top
+
+
+def _krylov_norm(A: np.ndarray) -> Optional[float]:
+    """Top singular value of ``A`` from a short Golub-Kahan-Lanczos run, or
+    None where the run certifies nothing.
+
+    For the top singular triple (theta, x, y) of B_k, A^H U_k x - theta V_k y
+    is beta_k x_k times the next V vector, so a singular value of A lies
+    within beta_k |x_k| of theta; theta is returned once that bound is at
+    most ``NORM_CERT * theta``.  For a symbol pair of constant moduli T^H T
+    is a plateau plus a small-rank term and this takes 2-10 steps.  Where
+    the spectrum has no such structure the run gives up after
+    ``NORM_STEPS`` steps, and after fewer on small matrices: a step costs
+    about m n flops against m n^2 for the SVD, so the budget is n / 20
+    steps."""
+    m, n = A.shape
+    for _, _, B in _golub_kahan(A, min(tol.NORM_STEPS, n // 20, m)):
+        k = len(B) - 1
+        x, s, _ = np.linalg.svd(B[:, :-1])
+        if B[k, k + 1] * abs(x[k, 0]) <= tol.NORM_CERT * s[0]:
+            return float(s[0])
+    return None
+
+
+# unit-modulus start vector with golden-ratio phases: fixed, and aligned with
+# no structure of a truncation (an all-ones vector is the Dirichlet kernel)
+_PHASE = (5**0.5 - 1) / 2
+
+
+def _golub_kahan(A: np.ndarray, steps: int):
+    """Golub-Kahan-Lanczos bidiagonalization of ``A`` (Golub and Kahan, SIAM
+    J. Numer. Anal. B 2, 1965) from a fixed start vector, so every result
+    depends on A alone.  After step k it yields (U_k, V_k, B), with
+    A V_k = U_k B_k for the upper bidiagonal B_k = B[:, :-1] and beta_k =
+    B[k, k + 1] the norm of the next V vector.  Each new vector is
+    orthogonalized against all earlier ones once: after the three-term
+    recurrence its components along them are at roundoff level, so one
+    pass keeps U_k and V_k orthonormal to roundoff while alpha_k and beta_k
+    stay above roundoff; past that the Krylov space is invariant and the new
+    vectors are noise.  The run ends at an exact zero alpha_k or beta_k."""
+    m, n = A.shape
+    U = np.empty((steps, m), dtype=complex)
+    V = np.empty((steps + 1, n), dtype=complex)
+    B = np.zeros((steps + 1, steps + 1))  # alpha_k at [k, k], beta_k at [k, k + 1]
+    V[0] = np.exp(2j * np.pi * _PHASE * np.arange(n)) / np.sqrt(n)
+    for k in range(steps):
+        u = A @ V[k]
+        if k:
+            u -= B[k - 1, k] * U[k - 1]
+            u -= (U[:k] @ u.conj()).conj() @ U[:k]
+        B[k, k] = np.linalg.norm(u)
+        if B[k, k] == 0.0:
+            return
+        U[k] = u / B[k, k]
+        v = (U[k].conj() @ A).conj() - B[k, k] * V[k]
+        v -= (V[: k + 1] @ v.conj()).conj() @ V[: k + 1]
+        B[k, k + 1] = np.linalg.norm(v)
+        yield U[: k + 1], V[: k + 1], B[: k + 1, : k + 2]
+        if B[k, k + 1] == 0.0:
+            return
+        V[k + 1] = v / B[k, k + 1]
 
 
 def numerical_rank(M, rank_tol: Optional[float] = None) -> RankResult:
@@ -447,7 +521,8 @@ def numerical_rank(M, rank_tol: Optional[float] = None) -> RankResult:
 def adjoint_residual(node_x, node_y, k: int) -> float:
     """max |<X z^i, z^j> - <z^i, Y z^j>| over the monomials |i|, |j| <= k of
     X's domain and codomain: the largest entry of T_X - T_Y^H, truncated as
-    in ``truncate`` (exact for pole-free trees, else tails below 1e-16)."""
+    in ``truncate`` (exact for pole-free trees, else padded by
+    ``decay_window``)."""
     x, y = build(node_x), build(node_y)
     dom, cod = spaces(x)
     if spaces(y) != (cod, dom):

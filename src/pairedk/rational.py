@@ -80,8 +80,11 @@ class SpaceTag(enum.Enum):
 
 def decay_window(elems: Sequence["RationalSymbol"], floor: int = 48, cap: int = 400) -> int:
     """Half-width w, between ``floor`` and ``cap``, with r^w below 1e-16 for
-    the largest decay radius r of ``elems``: coefficient tails beyond w are
-    below machine noise relative to the leading coefficients."""
+    the largest decay radius r of ``elems``.  This is not a bound on the
+    coefficient tails beyond w: it ignores pole multiplicity (the tail of
+    1/(z - 0.7)^3 at its w = 104 is 2.4e-13 relative to the largest
+    coefficient), and the cap binds for r > 0.912.  ROADMAP item 10 asks for
+    a certified tail bound in its place."""
     r = max((e.max_decay_radius() for e in elems), default=0.0)
     if r <= 0.0:
         return floor

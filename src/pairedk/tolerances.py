@@ -18,6 +18,7 @@ records under every process start method (fork, spawn, forkserver).
 """
 
 import contextlib
+import sys
 
 # Relative tolerance for exact-equality decisions between rational functions.
 EPS_EQ = 1e-11
@@ -39,6 +40,13 @@ RANK_TOL = 1e-10
 
 # Minimal spectral gap ratio for a rank/kernel answer to count as certified.
 GAP_MIN = 1e3
+
+# operator_norm's Krylov phase returns its top Ritz value once the residual
+# bound is at most NORM_CERT times that value (a few units of roundoff), and
+# runs at most NORM_STEPS steps; otherwise the full SVD decides.  Neither is
+# settable: the answer is the top singular value either way.
+NORM_CERT = 4 * sys.float_info.epsilon
+NORM_STEPS = 12
 
 # Settable key -> the constant it overrides.
 SETTABLE = {

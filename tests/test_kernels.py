@@ -34,7 +34,9 @@ from pairedk.errors import (
     OracleIndeterminate,
     PartitionOfUnityFails,
     TrivialKernel,
+    WindowOverflow,
 )
+from pairedk.kernels import oracle_min_window
 from pairedk.sampling import SamplerProfile, sample_pair_with_kernel, trial_rng
 
 import fftcheck as fc
@@ -495,6 +497,15 @@ def test_oracle_simple_pair():
     kb = paired_kernel(SymbolPair(R.const(1), R.monomial(1)))
     ang = principal_angle(res, [el.total for el in kb.elements])
     assert ang < 1e-8
+
+
+def test_oracle_refuses_a_window_below_twice_the_bandwidth():
+    # a typed refusal, as truncate gives below the bandwidth
+    node = Paired(R.const(1), R.monomial(3))
+    assert oracle_min_window(node) == 6
+    with pytest.raises(WindowOverflow, match="N=5"):
+        kernel_oracle(node, 5)
+    assert kernel_oracle(node, 6).dim_estimate == 3
 
 
 def test_oracle_circle_zero_pair_dims():

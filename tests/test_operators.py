@@ -30,7 +30,10 @@ from pairedk import (
     operator_norm,
     truncate,
 )
+from pairedk import operators as ops
+from pairedk import properties as props
 from pairedk.errors import DomainMismatch, SymbolNotBounded, WindowOverflow
+from pairedk.sampling import sample_symbol, trial_rng
 
 import fftcheck as fc
 
@@ -175,6 +178,66 @@ def test_operator_norm_examples():
     assert operator_norm(Mult(R.const(2)), 8) == pytest.approx(2.0)
     n = operator_norm(Paired(A_CZ, B_CZ), 128)
     assert 2.0 <= n <= 2.0 * np.sqrt(2.0) + 1e-9
+
+
+def _svd_norm(node, N):
+    return float(np.linalg.svd(truncate(node, N).entries, compute_uv=False)[0])
+
+
+def _p_norm_operators(monkeypatch, seed, trials=6):
+    """The Paired nodes that P_NORM's trials at ``seed`` take the norm of."""
+    nodes = []
+    monkeypatch.setattr(props, "operator_norm", lambda node, N: nodes.append(node) or operator_norm(node, N))
+    assert props.run_property("P_NORM", trials, seed).passes == trials
+    return nodes
+
+
+@pytest.mark.parametrize("seed, trials", [(0, 6), (50, 24)])
+def test_operator_norm_certifies_p_norm_operators_by_krylov(monkeypatch, seed, trials):
+    # constant-modulus symbols: the Krylov phase certifies the top value; at
+    # seed 50 a certificate loosened to 1e-6 would miss the SVD by up to 1.1e-13
+    for node in _p_norm_operators(monkeypatch, seed, trials):
+        ref = _svd_norm(node, props.NORM_N)
+        assert ops._krylov_norm(truncate(node, props.NORM_N).entries) is not None
+        assert abs(operator_norm(node, props.NORM_N) - ref) <= 4e-15 * ref
+
+
+def test_operator_norm_falls_back_to_the_svd_bit_for_bit():
+    rng = trial_rng(0, 0)
+    a, b = sample_symbol(props.GENERIC, rng), sample_symbol(props.GENERIC, rng)
+    for node in (Paired(a, b), Transposed(a, b), Toeplitz(a)):
+        assert ops._krylov_norm(truncate(node, 64).entries) is None
+        assert operator_norm(node, 64) == _svd_norm(node, 64)
+
+
+def test_operator_norm_of_an_isolated_simple_top_value():
+    # 2.3094 is simple and 15 % above the next value, 1.99985
+    s = np.linalg.svd(truncate(Paired(A_CZ, B_CZ), 128).entries, compute_uv=False)
+    assert s[0] > 1.15 * s[1]
+    assert abs(operator_norm(Paired(A_CZ, B_CZ), 128) - s[0]) <= 4e-15 * s[0]
+
+
+def test_operator_norm_of_zero_and_empty_truncations():
+    assert operator_norm(Paired(R.zero(), R.zero()), 32) == 0.0
+    assert operator_norm(DualToeplitz(R.const(2)), 0) == 0.0
+
+
+def test_operator_norm_repeats_bit_for_bit(monkeypatch):
+    for node in _p_norm_operators(monkeypatch, 0, 2) + [Paired(A_CZ, B_CZ)]:
+        assert operator_norm(node, 128) == operator_norm(node, 128)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_golub_kahan_bases_stay_orthonormal(monkeypatch, seed):
+    # Paige: without reorthogonalization the top value still converges, but
+    # the bases of these constant-modulus operators lose orthogonality
+    for node in _p_norm_operators(monkeypatch, seed, 3):
+        A = truncate(node, props.NORM_N).entries
+        for U, V, B in ops._golub_kahan(A, 12):
+            k = len(U)
+            assert np.abs(U.conj() @ U.T - np.eye(k)).max() < 1e-14
+            assert np.abs(V.conj() @ V.T - np.eye(k)).max() < 1e-14
+            assert np.abs(A @ V.T - U.T @ B[:, :-1]).max() < 1e-14 * B.max()
 
 
 def test_numerical_rank_zero_matrix():

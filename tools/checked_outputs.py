@@ -18,16 +18,21 @@ checkout that predates it.  Each output is one line, ``<section> <key>
   properties, 6 trials at master seeds 0 and 7 (360 lines);
 - ``c4``: the same per trial for criterion C4 at its seeds (P_PRODRES
   100@44, P_COMMEXP 100@45, P_EQUIV 100@46, P_RH 100@47; 400 lines);
+- ``c7``: the same per trial for criterion C7 (P_NORM 100@50; 100 lines):
+  the operator norms that ``operator_norm`` certifies by its Krylov phase;
 - ``kernel``: stdout, stderr and exit code of the 700 seed-1 queries of the
   benchmark's ``kernels`` workload, run in-process through ``cli.main``; the
   pool is built by ``perfbench/bench.py``, imported without writing
   anything under ``perfbench/``;
+- ``norm``: ``operator_norm(node, 64)`` of the ``Paired`` or ``Transposed``
+  node of the first 100 of those queries (100 lines), most of which take the
+  SVD fallback;
 - ``suite``: the canonical payloads of ``run_suite`` over every property at
   10 trials and master seed 0, sequentially and with ``parallelism`` 2;
 - ``payload``: the canonical payloads of criteria C5 (P_RANK1 100@48), C6
   (P_ADJ 100@49) and C10's third run (P_COBURN_S 500@42).
 
-That is 1 465 lines.  Wall times stay out of every line.  BLAS runs on one
+That is 1 665 lines.  Wall times stay out of every line.  BLAS runs on one
 thread, as in the benchmark: ``bench.py`` pins it before numpy loads.
 """
 
@@ -43,6 +48,8 @@ from pathlib import Path
 TRIAL_SEEDS, TRIALS = (0, 7), 6
 C4 = (("P_PRODRES", 44), ("P_COMMEXP", 45), ("P_EQUIV", 46), ("P_RH", 47))
 C4_TRIALS = 100
+C7 = ("P_NORM", 50, 100)
+NORM_QUERIES, NORM_N = 100, 64
 KERNEL_SEED = 1
 PAYLOADS = (("C5", "P_RANK1", 100, 48), ("C6", "P_ADJ", 100, 49), ("C10", "P_COBURN_S", 500, 42))
 
@@ -72,6 +79,13 @@ def kernel_queries(pk, bench):
         yield f"query{query['i']}", [out.getvalue(), err.getvalue(), rc]
 
 
+def query_norms(pk, bench):
+    node_of = {"paired": pk.Paired, "transposed": pk.Transposed}
+    for query in bench.WORKLOADS["kernels"].build(pk, KERNEL_SEED, count=NORM_QUERIES):
+        a, b = (pk.RationalSymbol.from_json(query[s]) for s in "ab")
+        yield f"query{query['i']}", pk.operator_norm(node_of[query["kind"]](a, b), NORM_N)
+
+
 def outputs(pk, bench):
     props = pk.properties
     for seed in TRIAL_SEEDS:
@@ -79,7 +93,9 @@ def outputs(pk, bench):
             yield from (("trial", k, v) for k, v in trials(props, pid, seed, TRIALS))
     for pid, seed in C4:
         yield from (("c4", k, v) for k, v in trials(props, pid, seed, C4_TRIALS))
+    yield from (("c7", k, v) for k, v in trials(props, *C7))
     yield from (("kernel", k, v) for k, v in kernel_queries(pk, bench))
+    yield from (("norm", k, v) for k, v in query_norms(pk, bench))
     for workers in (1, 2):
         suite = props.run_suite(props.registered_ids(), 10, 0, props.RunConfig(parallelism=workers))
         yield "suite", f"parallelism{workers}", "\n".join(r.canonical_payload() for r in suite.reports)
