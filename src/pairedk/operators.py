@@ -424,16 +424,39 @@ def operator_norm(node, N: int) -> float:
     truncation at window N, to within ``NORM_CERT`` relative (0.0 for a zero
     or empty truncation).
 
-    A short Golub-Kahan-Lanczos run (``_krylov_norm``) certifies its top
-    Ritz value.  That is the largest singular value unless the fixed start
-    vector has no component along the top singular vectors; then it is a
-    smaller one, still a lower bound.  Where the run certifies nothing, the
-    full SVD gives the largest singular value itself."""
+    Where every symbol of the expression has constant modulus on the circle
+    (``_constant_modulus``), a short Golub-Kahan-Lanczos run
+    (``_krylov_norm``) tries to certify its top Ritz value.  That is the
+    largest singular value unless the fixed start vector has no component
+    along the top singular vectors; then it is a smaller one, still a lower
+    bound.  Every other expression, and every run that certifies nothing,
+    takes the full SVD and so the largest singular value itself."""
     A = truncate(node, N).entries
-    if A.size == 0:
+    if not A.any():
         return 0.0
-    top = _krylov_norm(A)
+    top = _krylov_norm(A) if all(map(_constant_modulus, _symbols_in(node))) else None
     return float(np.linalg.svd(A, compute_uv=False)[0]) if top is None else top
+
+
+def _constant_modulus(s: RationalSymbol) -> bool:
+    """Whether |s| is constant on the circle: s is nonzero and its zeros,
+    reflected to 1/conj(z), are its poles with their multiplicities (within
+    ``EPS_CLUSTER``, as reflection rounds).  This picks the method of
+    ``operator_norm`` and nothing else, so a wrong pick costs time, never
+    accuracy.  With such symbols T^H T of a Paired or Transposed operator is
+    a multiple of the identity on each Hardy space plus a finite-rank term:
+    the top of its spectrum is a plateau or an isolated value, which Lanczos
+    certifies in a few steps.  With other symbols the top singular values of
+    a Paired, Transposed or Toeplitz truncation cluster below the sup of the
+    modulus, and the run mostly spends its whole budget before the SVD."""
+    if s.is_zero or sum(z.mult for z in s.zeros) != sum(p.mult for p in s.poles):
+        return False
+
+    def mirrored(z, p):
+        gap = abs(1.0 / z.value.conjugate() - p.value)
+        return p.mult == z.mult and gap <= tol.EPS_CLUSTER * max(1.0, abs(p.value))
+
+    return all(any(mirrored(z, p) for p in s.poles) for z in s.zeros)
 
 
 def _krylov_norm(A: np.ndarray) -> Optional[float]:
@@ -443,14 +466,11 @@ def _krylov_norm(A: np.ndarray) -> Optional[float]:
     For the top singular triple (theta, x, y) of B_k, A^H U_k x - theta V_k y
     is beta_k x_k times the next V vector, so a singular value of A lies
     within beta_k |x_k| of theta; theta is returned once that bound is at
-    most ``NORM_CERT * theta``.  For a symbol pair of constant moduli T^H T
-    is a plateau plus a small-rank term and this takes 2-10 steps.  Where
-    the spectrum has no such structure the run gives up after
-    ``NORM_STEPS`` steps, and after fewer on small matrices: a step costs
-    about m n flops against m n^2 for the SVD, so the budget is n / 20
-    steps."""
+    most ``NORM_CERT * theta``.  The run gives up after n // ``NORM_STEP_COST``
+    steps on n columns: a step costs about m n flops against m n^2 for the
+    SVD, so a failed run adds a bounded share to the SVD that follows."""
     m, n = A.shape
-    for _, _, B in _golub_kahan(A, min(tol.NORM_STEPS, n // 20, m)):
+    for _, _, B in _golub_kahan(A, min(n // tol.NORM_STEP_COST, m)):
         k = len(B) - 1
         x, s, _ = np.linalg.svd(B[:, :-1])
         if B[k, k + 1] * abs(x[k, 0]) <= tol.NORM_CERT * s[0]:
@@ -458,8 +478,10 @@ def _krylov_norm(A: np.ndarray) -> Optional[float]:
     return None
 
 
-# unit-modulus start vector with golden-ratio phases: fixed, and aligned with
-# no structure of a truncation (an all-ones vector is the Dirichlet kernel)
+# start vector: the chirp exp(i pi phi k^2), phi the golden ratio's fraction.
+# It is fixed and of unit modulus, and its discrete Fourier transform has
+# nearly flat modulus, so it weighs every point of the circle alike (a single
+# mode exp(2 pi i phi k) is the Dirichlet kernel moved to one point)
 _PHASE = (5**0.5 - 1) / 2
 
 
@@ -478,7 +500,7 @@ def _golub_kahan(A: np.ndarray, steps: int):
     U = np.empty((steps, m), dtype=complex)
     V = np.empty((steps + 1, n), dtype=complex)
     B = np.zeros((steps + 1, steps + 1))  # alpha_k at [k, k], beta_k at [k, k + 1]
-    V[0] = np.exp(2j * np.pi * _PHASE * np.arange(n)) / np.sqrt(n)
+    V[0] = np.exp(1j * np.pi * _PHASE * np.arange(n) ** 2) / np.sqrt(n)
     for k in range(steps):
         u = A @ V[k]
         if k:

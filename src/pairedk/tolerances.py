@@ -43,10 +43,11 @@ GAP_MIN = 1e3
 
 # operator_norm's Krylov phase returns its top Ritz value once the residual
 # bound is at most NORM_CERT times that value (a few units of roundoff), and
-# runs at most NORM_STEPS steps; otherwise the full SVD decides.  Neither is
-# settable: the answer is the top singular value either way.
+# runs at most n // NORM_STEP_COST steps on a truncation of n columns (a step
+# costs about 1/n of the SVD); otherwise the full SVD decides.  Neither is
+# settable: either way the answer is a certified singular value.
 NORM_CERT = 4 * sys.float_info.epsilon
-NORM_STEPS = 12
+NORM_STEP_COST = 20
 
 # Settable key -> the constant it overrides.
 SETTABLE = {

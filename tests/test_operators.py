@@ -25,6 +25,7 @@ from pairedk import (
     ast_from_json,
     ast_to_json,
     bandwidth,
+    blaschke,
     build,
     numerical_rank,
     operator_norm,
@@ -192,22 +193,62 @@ def _p_norm_operators(monkeypatch, seed, trials=6):
     return nodes
 
 
+def _krylov_calls(monkeypatch):
+    """The return value of every ``_krylov_norm`` call from here on."""
+    calls, real = [], ops._krylov_norm
+    monkeypatch.setattr(ops, "_krylov_norm", lambda A: calls.append(real(A)) or calls[-1])
+    return calls
+
+
 @pytest.mark.parametrize("seed, trials", [(0, 6), (50, 24)])
 def test_operator_norm_certifies_p_norm_operators_by_krylov(monkeypatch, seed, trials):
     # constant-modulus symbols: the Krylov phase certifies the top value; at
-    # seed 50 a certificate loosened to 1e-6 would miss the SVD by up to 1.1e-13
-    for node in _p_norm_operators(monkeypatch, seed, trials):
+    # seed 50 a certificate loosened to 1e-6 would miss the SVD by up to 6.8e-13
+    nodes = _p_norm_operators(monkeypatch, seed, trials)
+    calls = _krylov_calls(monkeypatch)
+    for node in nodes:
         ref = _svd_norm(node, props.NORM_N)
-        assert ops._krylov_norm(truncate(node, props.NORM_N).entries) is not None
-        assert abs(operator_norm(node, props.NORM_N) - ref) <= 4e-15 * ref
+        norm = operator_norm(node, props.NORM_N)
+        assert calls[-1] == norm
+        assert abs(norm - ref) <= 4e-15 * ref
+    assert len(calls) == len(nodes)
 
 
-def test_operator_norm_falls_back_to_the_svd_bit_for_bit():
+def test_operator_norm_falls_back_to_the_svd_bit_for_bit(monkeypatch):
+    nodes = _p_norm_operators(monkeypatch, 7, 3)
+    monkeypatch.setattr(ops, "_krylov_norm", lambda A: None)
+    for node in nodes:
+        assert operator_norm(node, props.NORM_N) == _svd_norm(node, props.NORM_N)
+
+
+def test_operator_norm_takes_the_svd_for_general_symbols(monkeypatch):
     rng = trial_rng(0, 0)
     a, b = sample_symbol(props.GENERIC, rng), sample_symbol(props.GENERIC, rng)
-    for node in (Paired(a, b), Transposed(a, b), Toeplitz(a)):
-        assert ops._krylov_norm(truncate(node, 64).entries) is None
+    assert not ops._constant_modulus(a) and not ops._constant_modulus(b)
+    calls = _krylov_calls(monkeypatch)
+    for node in (Paired(a, b), Transposed(a, b), Toeplitz(a), Compose(Paired(a, b), Transposed(b, a))):
         assert operator_norm(node, 64) == _svd_norm(node, 64)
+    assert calls == []
+
+
+def test_constant_modulus_symbols():
+    inner = blaschke(0.5) * blaschke(-0.3 + 0.6j, 2) * R.monomial(3)
+    for s in (R.const(2j), R.monomial(-2, 0.5), inner * 1.5, inner.reciprocal(), inner.conj_circle()):
+        assert ops._constant_modulus(s)
+    # (z - 0.5) / (z - 3): the zero's mirror is 2, not the pole
+    for s in (R.zero(), A_CZ, B_CZ, blaschke(0.5) + R.const(1), C({0: -0.5, 1: 1}) / C({0: -3, 1: 1})):
+        assert not ops._constant_modulus(s)
+
+
+@pytest.mark.parametrize("N", [64, 128])
+def test_operator_norm_of_constant_modulus_operators(N):
+    # either path lands within 4 eps of the SVD; at N = 64 the Transposed
+    # node passes a Ritz value 9e-14 below the top after 4 steps
+    x, y = blaschke(0.8), R.monomial(-1, 0.5)
+    nodes = (Transposed(x, y), Paired(x, y), Compose(Paired(x, y), Transposed(y, x)), Commutator(Paired(x, y), Mult(y)))
+    for node in nodes:
+        ref = _svd_norm(node, N)
+        assert abs(operator_norm(node, N) - ref) <= 4e-15 * ref
 
 
 def test_operator_norm_of_an_isolated_simple_top_value():
