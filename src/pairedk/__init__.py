@@ -6,6 +6,7 @@ P+ a + P- b, cross-checked against a truncated-matrix numerical oracle.
 """
 
 from .errors import (
+    CertificateFailed,
     DegenerateInput,
     DegenerateSymbol,
     DegreeOverflow,

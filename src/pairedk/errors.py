@@ -65,6 +65,10 @@ class PartitionOfUnityFails(PairedKError):
     """Supplied a', b' do not satisfy a*a' + b*b' = 1."""
 
 
+class CertificateFailed(PairedKError):
+    """A result failed the self-check the library runs on its own output."""
+
+
 class OracleIndeterminate(PairedKError):
     """Numerical rank/kernel decision lacks the required spectral gap."""
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotInHardySpace, ZeroFunction, ZeroOrPoleOnCircle
+from .errors import CertificateFailed, NotInHardySpace, ZeroFunction, ZeroOrPoleOnCircle
 from .rational import RationalSymbol, SpaceTag
 from .roots import LOC_IN, LOC_OUT, Root
 
@@ -99,7 +99,7 @@ def wiener_hopf(g: RationalSymbol) -> WHFactorization:
 
 def _certify_wh(g: RationalSymbol, fac: WHFactorization):
     if not fac.product().equals(g):
-        raise ArithmeticError("Wiener-Hopf product does not reproduce the symbol")
+        raise CertificateFailed("Wiener-Hopf product does not reproduce the symbol")
     for s, tag in (
         (fac.g_plus, SpaceTag.HINF),
         (fac.g_plus.reciprocal(), SpaceTag.HINF),
@@ -107,7 +107,7 @@ def _certify_wh(g: RationalSymbol, fac: WHFactorization):
         (fac.g_minus.reciprocal(), SpaceTag.HINF_BAR),
     ):
         if not s.membership(tag):
-            raise ArithmeticError("Wiener-Hopf factor fails its side membership")
+            raise CertificateFailed("Wiener-Hopf factor fails its side membership")
 
 
 def inner_outer(f: RationalSymbol, side: str = "plus") -> InnerOuterPair:
@@ -145,14 +145,14 @@ def inner_outer(f: RationalSymbol, side: str = "plus") -> InnerOuterPair:
 
 def _certify_io(f: RationalSymbol, pair: InnerOuterPair):
     if not pair.product().equals(f):
-        raise ArithmeticError("inner*outer does not reproduce the input")
+        raise CertificateFailed("inner*outer does not reproduce the input")
     if pair.side == "plus":
         if not pair.inner.membership(SpaceTag.INNER_PLUS):
-            raise ArithmeticError("inner factor fails the inner membership")
+            raise CertificateFailed("inner factor fails the inner membership")
         if not pair.outer.membership(SpaceTag.OUTER_PLUS):
-            raise ArithmeticError("outer factor fails the outer membership")
+            raise CertificateFailed("outer factor fails the outer membership")
     else:
         if not pair.inner.conj_circle().membership(SpaceTag.INNER_PLUS):
-            raise ArithmeticError("minus-side inner factor fails reflection test")
+            raise CertificateFailed("minus-side inner factor fails reflection test")
         if not pair.outer.membership(SpaceTag.OUTER_MINUS):
-            raise ArithmeticError("minus-side outer factor fails membership")
+            raise CertificateFailed("minus-side outer factor fails membership")

@@ -42,6 +42,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import (
+    CertificateFailed,
     DegenerateInput,
     DegenerateSymbol,
     NotInHardySpace,
@@ -183,7 +184,7 @@ def _toeplitz_elements(g: RationalSymbol, fac):
         e = inv_plus * RationalSymbol.monomial(j)
         img = g * e
         if not (img.membership(H2M) and e.membership(H2P)):
-            raise ArithmeticError("constructed Toeplitz kernel element fails verification")
+            raise CertificateFailed("constructed Toeplitz kernel element fails verification")
         yield e, img
 
 
@@ -212,7 +213,7 @@ def paired_kernel(p: SymbolPair, *, _limit: Optional[int] = None) -> KernelBasis
     for phi_plus, img in itertools.islice(_toeplitz_elements(g, fac), _limit):
         el = PairedElement(phi_plus, -img)
         if not member_S(el.total, p):
-            raise ArithmeticError("constructed paired kernel element fails verification")
+            raise CertificateFailed("constructed paired kernel element fails verification")
         elements.append(el)
     return KernelBasis(tuple(elements), STATUS_EXACT, -fac.kappa, {"kappa": fac.kappa})
 
@@ -257,7 +258,7 @@ def transposed_kernel(p: SymbolPair, *, _limit: Optional[int] = None) -> KernelB
     for j in range(n - m_on)[:_limit]:
         e = base * RationalSymbol.monomial(j)
         if not member_Sigma(e, p):
-            raise ArithmeticError("constructed transposed kernel element fails verification")
+            raise CertificateFailed("constructed transposed kernel element fails verification")
         elements.append(e)
     return KernelBasis(tuple(elements), STATUS_EXACT, n - m_on, cert)
 
@@ -332,7 +333,7 @@ def symbols_from_function(phi_plus: RationalSymbol, phi_minus: RationalSymbol) -
     b = -(io_m.inner.conj_circle()) * w / io_m.outer
     pair = SymbolPair(a, b)
     if not member_S(phi_plus + phi_minus, pair):
-        raise ArithmeticError("constructed pair fails the kernel membership")
+        raise CertificateFailed("constructed pair fails the kernel membership")
     return pair
 
 
@@ -360,7 +361,7 @@ def j_map(
             raise NotInKernel("input is not in the transposed kernel")
         out = (p.a - p.b) * psi
         if not member_S(out, p):
-            raise ArithmeticError("forward image fails paired membership")
+            raise CertificateFailed("forward image fails paired membership")
         return out
     if not member_S(psi, p):
         raise NotInKernel("input is not in the paired kernel")
@@ -381,7 +382,7 @@ def j_map(
         raise PartitionOfUnityFails("a a' + b b' != 1")
     out = a_prime * psi.riesz("minus") - b_prime * psi.riesz("plus")
     if not member_Sigma(out, p):
-        raise ArithmeticError("inverse image fails transposed membership")
+        raise CertificateFailed("inverse image fails transposed membership")
     return out
 
 
@@ -454,7 +455,7 @@ def model_space_basis(theta: RationalSymbol) -> KernelBasis:
     for fac, ker in zip(factors, kernels):
         e = prefix * ker
         if not member_Sigma(e, pair):
-            raise ArithmeticError("model space element fails membership")
+            raise CertificateFailed("model space element fails membership")
         elements.append(e)
         prefix = prefix * fac
     dim = len(elements)
@@ -546,7 +547,14 @@ def _oracle_window(M, n: int, d: int):
             keep &= ins >= cols[0] + d
         if cols[-1] >= n:
             keep &= ins <= cols[-1] - d
-    return M.entries[np.ix_(np.abs(M.out_indices) <= n + d, keep)], ins[keep]
+    # both index sets are contiguous runs, so the block is a view of M
+    return M.entries[_run(np.abs(M.out_indices) <= n + d), _run(keep)], ins[keep]
+
+
+def _run(mask):
+    """The one contiguous run of True entries of ``mask``, as a slice."""
+    i = int(mask.argmax())
+    return slice(i, i + int(mask.sum()))
 
 
 def oracle_min_window(node) -> int:

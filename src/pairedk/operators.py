@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, fields
 from typing import ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tolerances as tol
 from .errors import (
@@ -39,18 +40,22 @@ _SIDE = {H2P: "plus", H2M: "minus"}  # the Riesz projection onto each Hardy spac
 _OPS: Dict[str, type] = {}  # wire-format op name -> node class
 
 
-def _on_side(ks: np.ndarray, side: str) -> np.ndarray:
-    """Mask of the indices kept by the Riesz projection on ``side``."""
-    return ks >= 0 if side == "plus" else ks < 0
+def _on_side(idx: np.ndarray, side: str) -> slice:
+    """The entries of the contiguous ascending range ``idx`` that the Riesz
+    projection on ``side`` keeps, as a slice."""
+    p = int(np.searchsorted(idx, 0))
+    return slice(p, None) if side == "plus" else slice(None, p)
 
 
-def _mult_blocks(in_idx: np.ndarray, ks: np.ndarray, *syms: RationalSymbol) -> List[np.ndarray]:
-    """Truncated multiplication matrices, entry (k, j) = hat s(k - j): one
-    Fourier window per symbol, gathered through one index array."""
-    lo = int(ks[0] - in_idx[-1])
-    hi = int(ks[-1] - in_idx[0])
-    idx = ks[:, None] - in_idx[None, :] - lo
-    return [s.fourier_range(lo, hi)[idx] for s in syms]
+def _fill(out: np.ndarray, s: RationalSymbol, ks: np.ndarray, in_idx: np.ndarray) -> None:
+    """Write the truncated multiplication matrix, entry (k, j) = hat s(k - j),
+    for the contiguous ascending ranges ``ks`` (rows) and ``in_idx``
+    (columns) into the block ``out``.  Row k reads hat s(k - j) from one
+    Fourier window in reverse, so the block is a strided view of that
+    window, copied once."""
+    if len(ks) and len(in_idx):
+        w = s.fourier_range(int(ks[0] - in_idx[-1]), int(ks[-1] - in_idx[0]))
+        out[...] = sliding_window_view(w[::-1], len(in_idx))[::-1]
 
 
 # ----------------------------------------------------------------------
@@ -92,8 +97,11 @@ class Paired(_Leaf):
         return self.a * f.riesz("plus") + self.b * f.riesz("minus")
 
     def columns(self, in_idx, ks):
-        ma, mb = _mult_blocks(in_idx, ks, self.a, self.b)
-        return np.where(in_idx >= 0, ma, mb)
+        out = np.empty((len(ks), len(in_idx)), dtype=complex)
+        for s, side in ((self.a, "plus"), (self.b, "minus")):  # a on columns j >= 0, b on j < 0
+            cols = _on_side(in_idx, side)
+            _fill(out[:, cols], s, ks, in_idx[cols])
+        return out
 
 
 @dataclass(frozen=True)
@@ -111,8 +119,11 @@ class Transposed(_Leaf):
         return (self.a * f).riesz("plus") + (self.b * f).riesz("minus")
 
     def columns(self, in_idx, ks):
-        ma, mb = _mult_blocks(in_idx, ks, self.a, self.b)
-        return np.where((ks >= 0)[:, None], ma, mb)
+        out = np.empty((len(ks), len(in_idx)), dtype=complex)
+        for s, side in ((self.a, "plus"), (self.b, "minus")):  # a on rows k >= 0, b on k < 0
+            rows = _on_side(ks, side)
+            _fill(out[rows], s, ks[rows], in_idx)
+        return out
 
 
 @dataclass(frozen=True)
@@ -129,7 +140,9 @@ class Mult(_Leaf):
         return self.eta * f
 
     def columns(self, in_idx, ks):
-        return _mult_blocks(in_idx, ks, self.eta)[0]
+        out = np.empty((len(ks), len(in_idx)), dtype=complex)
+        _fill(out, self.eta, ks, in_idx)
+        return out
 
 
 @dataclass(frozen=True)
@@ -151,7 +164,10 @@ class _Compression(_Leaf):
         return (self.a * f).riesz(self.side)
 
     def columns(self, in_idx, ks):
-        return np.where(_on_side(ks, self.side)[:, None], _mult_blocks(in_idx, ks, self.a)[0], 0)
+        out = np.zeros((len(ks), len(in_idx)), dtype=complex)
+        rows = _on_side(ks, self.side)  # the other rows stay 0
+        _fill(out[rows], self.a, ks[rows], in_idx)
+        return out
 
 
 class Toeplitz(_Compression):
@@ -194,7 +210,10 @@ class _Projection(_Leaf):
         return f.riesz(self.side)
 
     def columns(self, in_idx, ks):
-        return ((ks[:, None] == in_idx) & _on_side(in_idx, self.side)).astype(complex)
+        out = np.zeros((len(ks), len(in_idx)), dtype=complex)
+        cols = _on_side(in_idx, self.side)
+        out[:, cols] = ks[:, None] == in_idx[cols]
+        return out
 
 
 class ProjPlus(_Projection):
@@ -387,7 +406,9 @@ def truncate(node, N: int) -> TruncationMatrix:
 
 
 def _columns(node, in_idx: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """Truncation of a normalized node to the contiguous windows ``ks`` x ``in_idx``."""
+    """Truncation of a normalized node to the windows ``ks`` x ``in_idx``.
+    Both are contiguous ascending ranges: the leaves read each block as a
+    strided view of one Fourier window, which needs exactly that."""
     if not (len(in_idx) and len(ks)):  # an H2- window at N = 0
         return np.zeros((len(ks), len(in_idx)), dtype=complex)
     if isinstance(node, Sum):
@@ -402,8 +423,11 @@ def _columns(node, in_idx: np.ndarray, ks: np.ndarray) -> np.ndarray:
         xy = _columns(Compose(node.x, node.y), in_idx, ks)
         yx = _columns(Compose(node.y, node.x), in_idx, ks)
         top = np.maximum(np.abs(xy).max(axis=0), np.abs(yx).max(axis=0))
+        xy -= yx
         # a column cancelling to roundoff is zero, as the rational difference would be
-        return np.where(np.abs(xy - yx).max(axis=0) > tol.EPS_EQ * top, xy - yx, 0)
+        keep = np.abs(xy).max(axis=0) > tol.EPS_EQ * top
+        xy[:, ~keep] = 0
+        return xy
     return node.columns(in_idx, ks)
 
 

@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from . import tolerances as tol
-from .errors import PairedKError, UnknownProperty
+from .errors import CertificateFailed, PairedKError, UnknownProperty
 from .factorization import winding_index
 from .kernels import (
     SymbolPair,
@@ -769,6 +769,8 @@ def _p_coburn_sig(rng, cfg):
     try:
         r1 = nontrivial_Sigma(p)
         r2 = nontrivial_Sigma(p.swap())
+    except CertificateFailed:
+        raise  # a failed self-check is a failure, not a degenerate pair
     except PairedKError:
         return True, {"skipped": "degenerate pair"}
     if r1.status is True and r2.status is True:

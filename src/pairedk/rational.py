@@ -55,7 +55,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import tolerances as tol
-from .errors import PoleOnCircle, ZeroDenominator
+from .errors import CertificateFailed, PoleOnCircle, ZeroDenominator
 from .laurent import MAX_DEGREE, MEMO_SIZE, LaurentPoly
 from .roots import LOC_IN, LOC_ON, LOC_OUT, Root, classify, poly_roots
 
@@ -549,7 +549,12 @@ class RationalSymbol:
         return self._invden
 
     def fourier_range(self, lo: int, hi: int) -> np.ndarray:
-        """Fourier coefficients hat f(k) for k in [lo, hi]."""
+        """Fourier coefficients hat f(k) for k in [lo, hi].
+
+        Each coefficient depends only on its index k, never on the window's
+        ends: the window of any wider range, sliced to [lo, hi], equals this
+        one byte for byte.  ``operators`` reads its truncation blocks from
+        one window on that basis."""
         if self.has_circle_pole:
             raise PoleOnCircle("Fourier coefficients need a pole-free circle")
         num = self.num
@@ -976,12 +981,12 @@ def rf_normalize(num: LaurentPoly, den: LaurentPoly) -> RationalSymbol:
         got = sym.eval(t)
         scale = max(abs(want), abs(got), 1.0)
         if abs(want - got) > 1e-7 * scale:
-            raise ArithmeticError(
+            raise CertificateFailed(
                 f"normalization drifted at probe {t:.4f}: {want} vs {got}"
             )
         checked += 1
     if checked < 4:
-        raise ArithmeticError("too few usable probe points (denominator vanishes)")
+        raise CertificateFailed("too few usable probe points (denominator vanishes)")
     return sym
 
 

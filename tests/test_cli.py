@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from pairedk import factorization
 from pairedk.cli import build_parser, load_config, main
 from pairedk.errors import MalformedConfig
 
@@ -50,6 +51,20 @@ def test_factor_wh(capsys):
     code, data = run_cli(capsys, "factor", "--wh", "--g", WH_G)
     assert code == 0
     assert data["kappa"] == -1
+
+
+def test_factor_wh_reports_a_failed_certificate_as_a_typed_error(monkeypatch, capsys):
+    # break the factors wiener_hopf builds, not the check that reads them
+    build = factorization.WHFactorization
+
+    def doubled(g_minus, kappa, g_plus):
+        return build(g_minus, kappa, g_plus * 2.0)
+
+    monkeypatch.setattr(factorization, "WHFactorization", doubled)
+    code = main(["factor", "--wh", "--g", WH_G])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: CertificateFailed: Wiener-Hopf product does not reproduce the symbol\n"
 
 
 def test_apply_and_round_trip(capsys):

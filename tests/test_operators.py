@@ -470,3 +470,142 @@ def test_truncation_and_adjoint_residual_skip_riesz(monkeypatch):
     truncate(Commutator(Paired(A_P, B_P), Mult(B_P)), 16)
     X = Compose(Paired(A_P, B_P), Mult(A_P))
     assert adjoint_residual(X, Adjoint(X), 6) <= 1e-12
+
+
+# ---------------------------------------------------------------- leaf blocks
+
+
+def _reference_block(node, in_idx, ks):
+    """A leaf's truncation as a gather: one Fourier window per symbol,
+    indexed by an (k - j) index matrix, then masked to the leaf's sides."""
+    if not (len(in_idx) and len(ks)):
+        return np.zeros((len(ks), len(in_idx)), dtype=complex)
+    lo, hi = int(ks[0] - in_idx[-1]), int(ks[-1] - in_idx[0])
+    idx = ks[:, None] - in_idx[None, :] - lo
+
+    def gather(s):
+        return s.fourier_range(lo, hi)[idx]
+
+    rows = {"plus": ks >= 0, "minus": ks < 0}
+    if isinstance(node, Paired):
+        return np.where(in_idx >= 0, gather(node.a), gather(node.b))
+    if isinstance(node, Transposed):
+        return np.where((ks >= 0)[:, None], gather(node.a), gather(node.b))
+    if isinstance(node, Mult):
+        return gather(node.eta)
+    if isinstance(node, (ProjPlus, ProjMinus)):
+        side = in_idx >= 0 if node.side == "plus" else in_idx < 0
+        return ((ks[:, None] == in_idx) & side).astype(complex)
+    return np.where(rows[node.side][:, None], gather(node.a), 0)
+
+
+LEAVES = [
+    Paired(A_P, B_P),
+    Transposed(A_P, B_P),
+    Mult(R07_ETA),
+    Toeplitz(A_P),
+    DualToeplitz(B_P),
+    Hankel(R07_ETA),
+    HankelTilde(R07_OUT),
+    ProjPlus(),
+    ProjMinus(),
+]
+WINDOWS = {
+    "straddling 0": (np.arange(-5, 6), np.arange(-8, 9)),
+    "columns all negative": (np.arange(-9, -2), np.arange(-12, 4)),
+    "columns all non-negative": (np.arange(2, 9), np.arange(-3, 12)),
+    "rows all negative": (np.arange(-4, 5), np.arange(-11, -1)),
+    "rows all non-negative": (np.arange(-4, 5), np.arange(0, 10)),
+    "empty columns": (np.arange(0), np.arange(-3, 4)),
+    "empty rows": (np.arange(-3, 4), np.arange(0)),
+}
+
+
+def _same_bytes(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype == complex
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("window", sorted(WINDOWS))
+@pytest.mark.parametrize("node", LEAVES, ids=lambda n: n.op)
+def test_leaf_columns_equal_the_gathered_block_byte_for_byte(node, window):
+    in_idx, ks = WINDOWS[window]
+    _same_bytes(node.columns(in_idx, ks), _reference_block(node, in_idx, ks))
+
+
+def test_compressions_keep_no_rows_or_all_rows():
+    in_idx = np.arange(-4, 5)
+    for node, none, every in (
+        (Toeplitz(A_P), np.arange(-9, 0), np.arange(0, 9)),
+        (DualToeplitz(B_P), np.arange(0, 9), np.arange(-9, 0)),
+    ):
+        assert not node.columns(in_idx, none).any()
+        _same_bytes(node.columns(in_idx, every), Mult(node.a).columns(in_idx, every))
+
+
+def test_empty_minus_window_at_zero_truncates_to_an_empty_block():
+    for node in (DualToeplitz(R.const(2.0)), Hankel(R.const(2.0)), HankelTilde(R.const(2.0))):
+        M = truncate(node, 0)
+        assert M.entries.shape == (len(M.out_indices), len(M.in_indices))
+        assert 0 in M.entries.shape
+
+
+def test_cancelling_commutator_columns_match_the_reference_as_exact_zeros():
+    e = R07_IN * R07_OUT
+    node = build(Commutator(Paired(e, e), Mult(R07_ETA)))
+    in_idx, ks = np.arange(-20, 21), np.arange(-26, 27)
+    xy = ops._columns(Compose(node.x, node.y), in_idx, ks)
+    yx = ops._columns(Compose(node.y, node.x), in_idx, ks)
+    assert (xy - yx).any()  # the products differ in roundoff
+    top = np.maximum(np.abs(xy).max(axis=0), np.abs(yx).max(axis=0))
+    want = np.where(np.abs(xy - yx).max(axis=0) > 1e-11 * top, xy - yx, 0)
+    got = ops._columns(node, in_idx, ks)
+    _same_bytes(got, want)
+    assert not got.any()
+
+
+def test_truncations_equal_the_gathered_reference_byte_for_byte(monkeypatch):
+    nodes = [
+        Commutator(Paired(R07_IN, R07_OUT), Mult(R07_ETA)),
+        Compose(Transposed(R07_ETA, R07_IN), Paired(A_P, B_P)),
+        Sum(Toeplitz(A_P), Hankel(B_P)),
+    ]
+    got = [truncate(n, 12).entries for n in nodes]
+    for cls in (Paired, Transposed, Mult, Toeplitz, Hankel):
+        monkeypatch.setattr(cls, "columns", lambda self, i, k: _reference_block(self, i, k))
+    for g, n in zip(got, nodes):
+        _same_bytes(g, truncate(n, 12).entries)
+
+
+# ---------------------------------------------------------------- Fourier windows
+
+DOUBLE_IN = C({0: 1, 1: -0.2}) / (C({0: -0.6, 1: 1}) * C({0: -0.6, 1: 1}))
+WINDOW_SYMBOLS = {
+    "pole-free": C({-2: 0.5, 0: 1, 3: -0.25j}),
+    "inside only": R07_IN,
+    "outside only": R07_OUT,
+    "mixed": R07_ETA,
+    "double pole": DOUBLE_IN,
+}
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_SYMBOLS))
+def test_fourier_range_is_the_slice_of_any_wider_window(name):
+    from pairedk import laurent, rational
+
+    s = WINDOW_SYMBOLS[name]
+    assert name == "pole-free" or s.poles
+    for lo, hi in ((-7, 9), (-30, -4), (5, 40), (0, 0), (-1, -1)):
+        for wlo, whi in ((lo - 13, hi), (lo, hi + 21), (lo - 40, hi + 3)):
+            for narrow_first in (True, False):
+                laurent._expand.cache_clear()
+                rational._split.cache_clear()
+                fresh = R.from_json(s.to_json())  # no streams cached on it yet
+                if narrow_first:
+                    narrow = fresh.fourier_range(lo, hi)
+                    wide = fresh.fourier_range(wlo, whi)
+                else:
+                    wide = fresh.fourier_range(wlo, whi)
+                    narrow = fresh.fourier_range(lo, hi)
+                assert narrow.tobytes() == wide[lo - wlo : hi - wlo + 1].tobytes()
