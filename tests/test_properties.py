@@ -20,7 +20,8 @@ from pairedk import (
     trial_rng,
 )
 from pairedk import tolerances as tol
-from pairedk.errors import UnknownProperty
+from pairedk import properties as props
+from pairedk.errors import CertificateFailed, UnknownProperty
 from pairedk.properties import PROPERTIES
 
 R = RationalSymbol
@@ -145,6 +146,18 @@ def test_report_records_the_rank_threshold_it_used():
     with tol.configured(rank_tol=1e-3):
         rep = run_property("P_RANK1", 1, 0)
     assert rep.tolerances["rank_tol"] == 1e-3
+
+
+def test_a_failed_certificate_fails_its_trial_instead_of_skipping_it(monkeypatch):
+    # P_COBURN_SIG skips degenerate pairs by their PairedKError; a failed
+    # self-check is also a PairedKError, and must stay a failure
+    def failing(pair):
+        raise CertificateFailed("constructed transposed kernel element fails verification")
+
+    monkeypatch.setattr(props, "nontrivial_Sigma", failing)
+    ok, detail = props._run_single("P_COBURN_SIG", 0, RunConfig(), tol.current(), 0)
+    assert not ok
+    assert detail == {"error": "CertificateFailed: constructed transposed kernel element fails verification"}
 
 
 # ---------------------------------------------------------------- hypothesis
