@@ -449,38 +449,21 @@ def operator_norm(node, N: int) -> float:
     or empty truncation).
 
     Where every symbol of the expression has constant modulus on the circle
-    (``_constant_modulus``), a short Golub-Kahan-Lanczos run
-    (``_krylov_norm``) tries to certify its top Ritz value.  That is the
-    largest singular value unless the fixed start vector has no component
-    along the top singular vectors; then it is a smaller one, still a lower
-    bound.  Every other expression, and every run that certifies nothing,
-    takes the full SVD and so the largest singular value itself."""
+    (``RationalSymbol.circle_modulus``), a short Golub-Kahan-Lanczos run
+    (``_krylov_norm``) tries to certify its top Ritz value: T^H T is then a
+    multiple of the identity on each Hardy space plus a finite-rank term,
+    whose top a few steps certify.  That is the largest singular value
+    unless the fixed start vector has no component along the top singular
+    vectors; then it is a smaller one, still a lower bound.  Every other
+    expression, and every run that certifies nothing, takes the full SVD and
+    so the largest singular value itself: a wrong pick costs time, never
+    accuracy."""
     A = truncate(node, N).entries
     if not A.any():
         return 0.0
-    top = _krylov_norm(A) if all(map(_constant_modulus, _symbols_in(node))) else None
+    constant = all(s.circle_modulus() is not None for s in _symbols_in(node))
+    top = _krylov_norm(A) if constant else None
     return float(np.linalg.svd(A, compute_uv=False)[0]) if top is None else top
-
-
-def _constant_modulus(s: RationalSymbol) -> bool:
-    """Whether |s| is constant on the circle: s is nonzero and its zeros,
-    reflected to 1/conj(z), are its poles with their multiplicities (within
-    ``EPS_CLUSTER``, as reflection rounds).  This picks the method of
-    ``operator_norm`` and nothing else, so a wrong pick costs time, never
-    accuracy.  With such symbols T^H T of a Paired or Transposed operator is
-    a multiple of the identity on each Hardy space plus a finite-rank term:
-    the top of its spectrum is a plateau or an isolated value, which Lanczos
-    certifies in a few steps.  With other symbols the top singular values of
-    a Paired, Transposed or Toeplitz truncation cluster below the sup of the
-    modulus, and the run mostly spends its whole budget before the SVD."""
-    if s.is_zero or sum(z.mult for z in s.zeros) != sum(p.mult for p in s.poles):
-        return False
-
-    def mirrored(z, p):
-        gap = abs(1.0 / z.value.conjugate() - p.value)
-        return p.mult == z.mult and gap <= tol.EPS_CLUSTER * max(1.0, abs(p.value))
-
-    return all(any(mirrored(z, p) for p in s.poles) for z in s.zeros)
 
 
 def _krylov_norm(A: np.ndarray) -> Optional[float]:

@@ -16,15 +16,17 @@ projections never read zeros.
 A zero cancels a pole by one rule, in ``_cancel_poles``, on every path
 (``from_fraction``, products, and ``from_zpk`` through the product): first
 the numerator's value at the pole must vanish relative to its Horner
-magnitude, and then a zero of the numerator must lie beside the pole.  The
-Newton disc certifies that zero without locating any; where the disc is too
-wide, zeros are located once per call.  Nothing cancels by distance alone.
-A sum tries only the poles both summands hold: a pole of one summand keeps
-its principal part in the sum.
+magnitude, and then a zero of the numerator must be one root with the pole.
+The Newton disc certifies that zero without locating any; where the disc is
+too wide, zeros are located once per call.  Nothing cancels by distance
+alone.  A sum tries only the poles both summands hold: a pole of one summand
+keeps its principal part in the sum.
 
-Two root entries name one root exactly when their values are equal
-(``poly_roots`` has clustered located roots within ``eps_cluster``), and
-every merge of root lists is one pass over a multiset keyed by value.
+``roots.same_root`` (radius ``eps_cluster``) is the one test of root
+identity: it clusters located roots, finds a zero beside a pole and matches a
+reflected zero to a pole (``circle_modulus``).  After clustering, two root
+entries name one root exactly when their values are equal, and every merge
+of root lists is one pass over a multiset keyed by value.
 
 Every Fourier window of num/den is num convolved with a window of the split
 1/den = A/D_in + B/D_out, and only ``_Split.window`` knows how the split's
@@ -57,7 +59,7 @@ import numpy as np
 from . import tolerances as tol
 from .errors import CertificateFailed, PoleOnCircle, ZeroDenominator
 from .laurent import MAX_DEGREE, MEMO_SIZE, LaurentPoly
-from .roots import LOC_IN, LOC_ON, LOC_OUT, Root, classify, poly_roots
+from .roots import LOC_IN, LOC_ON, LOC_OUT, Root, classify, poly_roots, same_root
 
 _GOLDEN_FRAC = 0.3819660112501051
 
@@ -112,24 +114,20 @@ def _combine_repeats(roots: Iterable[Root]) -> Tuple[Root, ...]:
     return _sorted_roots(_multiset(roots).values())
 
 
-# The second half of the cancellation rule: a pole p that passes the value
-# test cancels only where a zero lies within _GATE * max(1, |p|) of it (a far
-# zero cluster can pass the value test on its Horner magnitude alone).
-_GATE = 1e-6
 # Rounding of a Horner sum, per coefficient, relative to the sum of the
 # moduli of its terms.
 _ROUND = 16 * np.finfo(float).eps
 
 
 def _near(zeros: Iterable[Root], pvals: Sequence[complex]) -> bool:
-    """Whether a located zero lies within _GATE * max(1, |p|) of a pole p."""
-    return any(abs(z.value - p) <= _GATE * max(1.0, abs(p)) for z in zeros for p in pvals)
+    """Whether a located zero is one root with a pole p (``same_root``)."""
+    return any(same_root(z.value, p) for z in zeros for p in pvals)
 
 
 def _newton_disc(coeffs: Sequence[complex], p: complex) -> bool:
     """Whether the polynomial q with ascending coefficients ``coeffs``
-    provably has a zero within _GATE * max(1, |p|) of p, without locating
-    one.
+    provably has a zero within eps_cluster * max(1, |p|) of p, the radius
+    of ``same_root``, without locating one.
 
     For the n zeros z_i of q, q'/q = sum 1/(p - z_i), so some zero lies
     within n |q(p) / q'(p)| of p.  One Horner pass computes q(p), q'(p) and
@@ -145,7 +143,7 @@ def _newton_disc(coeffs: Sequence[complex], p: complex) -> bool:
         q = q * p + c
         mag = mag * ap + abs(c)
     slack = _ROUND * len(coeffs)
-    return n > 0 and n * (abs(q) + slack * mag) <= _GATE * max(1.0, ap) * (abs(dq) - slack * dmag)
+    return n > 0 and n * (abs(q) + slack * mag) <= tol.EPS_CLUSTER * max(1.0, ap) * (abs(dq) - slack * dmag)
 
 
 class _LazyZeros:
@@ -643,7 +641,10 @@ class RationalSymbol:
                 and (self.is_zero or self.delta_infinity <= 0)
             )
         if tag == SpaceTag.INNER_PLUS:
-            return self._is_inner_plus()
+            if not self.membership(SpaceTag.HINF) or any(r.loc != LOC_IN for r in self.zeros):
+                return False
+            modulus = self.circle_modulus()
+            return modulus is not None and abs(modulus - 1.0) <= tol.EPS_CIRCLE
         if tag == SpaceTag.OUTER_PLUS:
             return (
                 (not self.is_zero)
@@ -652,34 +653,35 @@ class RationalSymbol:
                 and self.zpow == 0
             )
         if tag == SpaceTag.OUTER_MINUS:
-            if self.is_zero or not self.membership(SpaceTag.H2MINUS):
-                return False
-            reflected = self.conj_circle() * RationalSymbol.monomial(-1)
-            return reflected.membership(SpaceTag.OUTER_PLUS)
+            # conj(f) / z is outer plus: its zeros are f's reflected, and
+            # its power of z is -delta_infinity - 1
+            return (
+                (not self.is_zero)
+                and self.membership(SpaceTag.H2MINUS)
+                and self.zeros_at(LOC_OUT) == 0
+                and self.delta_infinity == -1
+            )
         raise ValueError(f"unknown space tag {tag}")
 
-    def _is_inner_plus(self) -> bool:
-        if self.is_zero or not self.membership(SpaceTag.HINF):
-            return False
-        if self.zpow < 0 or any(r.loc != LOC_IN for r in self.zeros):
-            return False
-        # poles must mirror the zeros at 1/conj(z) with equal multiplicity
-        needed = {(r.value, r.mult) for r in self.zeros}
-        mirrored = []
-        for v, m in needed:
-            w = 1.0 / v.conjugate()
-            ok = any(
-                abs(p.value - w) <= 1e-8 * max(1.0, abs(w)) and p.mult == m for p in self.poles
-            )
-            if not ok:
-                return False
-            mirrored.append(w)
-        if sum(r.mult for r in self.poles) != sum(r.mult for r in self.zeros):
-            return False
-        for t in probe_points(16):
-            if abs(abs(self.eval(t)) - 1.0) > 1e-9:
-                return False
-        return True
+    def circle_modulus(self) -> Optional[float]:
+        """The constant |f| on the circle, read from the root data: where
+        every zero z_i, reflected to 1/conj(z_i), is one pole of the same
+        multiplicity under ``same_root`` and no pole is left over, |f| is
+        |gain| prod |z_i|^{m_i} (as |z - a| = |a| |z - 1/conj(a)| for
+        |z| = 1).  None for the zero function and wherever the roots do not
+        pair up so."""
+        if self.is_zero:
+            return None
+        poles = list(self.poles)
+        for z in self.zeros:
+            w = 1.0 / z.value.conjugate()
+            mirror = next((p for p in poles if p.mult == z.mult and same_root(w, p.value)), None)
+            if mirror is None:
+                return None
+            poles.remove(mirror)
+        if poles:
+            return None
+        return abs(self.gain) * math.prod(abs(z.value) ** z.mult for z in self.zeros)
 
     # ------------------------------------------------------------------
     # circle norms
@@ -870,7 +872,8 @@ def _cancel_poles(num_arr: np.ndarray, den_arr: np.ndarray, poles: Iterable[Root
     - the value test: the numerator vanishes at the pole, relative to its
       Horner magnitude;
     - then a zero beside the pole: ``_newton_disc`` certifies one, or else
-      a located zero lies within _GATE * max(1, |p|) of it.
+      a located zero is one root with it under ``same_root``, within
+      eps_cluster * max(1, |p|).
 
     ``zeros()`` gives the located zeros of the given num_arr (by default
     its ``poly_roots``); it is called at most once, and only for a pole

@@ -37,6 +37,13 @@ def classify(value: complex) -> str:
     return LOC_ON
 
 
+def same_root(u: complex, v: complex) -> bool:
+    """Whether u and v name one root: |u - v| <= eps_cluster * max(1, |v|).
+    This is the only radius of root identity: clustering, a zero beside a
+    pole and the reflection of a zero onto a pole all read it."""
+    return abs(u - v) <= tol.EPS_CLUSTER * max(1.0, abs(v))
+
+
 def _cluster(values: np.ndarray) -> List[Tuple[complex, int]]:
     """Greedy clustering of near-identical roots; centroid representative."""
     order = sorted(range(len(values)), key=lambda i: (values[i].real, values[i].imag))
@@ -45,8 +52,7 @@ def _cluster(values: np.ndarray) -> List[Tuple[complex, int]]:
         v = values[i]
         placed = False
         for c in clusters:
-            ref = c[0]
-            if abs(v - ref) <= tol.EPS_CLUSTER * max(1.0, abs(ref)):
+            if same_root(v, c[0]):
                 c.append(v)
                 placed = True
                 break

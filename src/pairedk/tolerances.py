@@ -24,11 +24,13 @@ import sys
 EPS_EQ = 1e-11
 
 # Half-width of the band around |z| = 1 inside which a root counts as "on"
-# the circle.
+# the circle; it also bounds |f| - 1 for an inner function.
 EPS_CIRCLE = 1e-9
 
-# Radius used when clustering near-identical roots into multiple roots.  It
-# is the only radius of root identity: after clustering, two root entries
+# The only radius of root identity (``roots.same_root``), relative to
+# max(1, |root|): for clustering near-identical roots into multiple roots,
+# for a zero beside a pole in the cancellation rule, and for a zero
+# reflected to 1/conj(z) onto a pole.  After clustering, two root entries
 # name one root exactly when their values are equal.
 EPS_CLUSTER = 1e-7
 

@@ -17,10 +17,10 @@ from fractions import Fraction
 from unittest import mock
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from pairedk import LaurentPoly, RationalSymbol, rational
+from pairedk import LaurentPoly, RationalSymbol, rational, tolerances
 from pairedk.roots import Root, classify
 
 import fftcheck as fc
@@ -107,15 +107,21 @@ def _no_zero_within(arr, zeros, lead, center, s):
     st.integers(1, 3),
     st.lists(st.tuples(st.floats(0.1, 10.0), angle), max_size=17),
 )
+# at the radius (t = 1, nudged by 1e-7 so that the stored coefficients
+# provably keep the zero outside) and at 5e-7 * max(1, |p|), inside the
+# 1e-6 radius the rule once had
+@example(radius=0.5, theta=0.3, t=1.0000001, phi=0.7, mult=1, others=[(0.3, 1.0), (3.0, 2.0)])
+@example(radius=2.5, theta=1.0, t=1.0000001, phi=2.0, mult=1, others=[(0.3, 1.0)])
+@example(radius=0.5, theta=0.3, t=5.0, phi=0.7, mult=2, others=[(0.3, 1.0), (3.0, 2.0)])
 def test_newton_disc_never_certifies_a_pole_without_a_zero_beside_it(radius, theta, t, phi, mult, others):
     # a zero of multiplicity 1-3 at distance t * rho from a pole p, with
-    # rho = _GATE * max(1, |p|) and t >= 1, among up to 17 other zeros
+    # rho = eps_cluster * max(1, |p|) and t >= 1, among up to 17 other zeros
     # (degree <= 20).  Rounding the expanded coefficients moves it, so an
     # example counts where the stored polynomial provably has no zero
     # within rho of p; the linear case at t = 1 takes exact arithmetic,
     # which tests/test_rational.py does
     p = cmath.rect(radius, theta)
-    rho = rational._GATE * max(1.0, radius)
+    rho = tolerances.EPS_CLUSTER * max(1.0, radius)
     zeros = [p + cmath.rect(t * rho, phi)] * mult + [cmath.rect(r, a) for r, a in others]
     lead = cmath.rect(1.5, phi)
     _, arr = LaurentPoly.from_roots(zeros, lead).to_array()
@@ -134,8 +140,12 @@ def planted_products(draw):
     for i, gap, a in draw(st.lists(st.tuples(st.integers(0, 2), st.floats(-12.0, -2.0), angle), max_size=2)):
         zvals.append(pvals[i % len(pvals)] + cmath.rect(10.0**gap, a))
     own = [cmath.rect(draw(st.one_of(inside, outside)), draw(angle))]
+    return _planted(pvals, zvals, own, draw(st.booleans()))
+
+
+def _planted(pvals, zvals, own, product):
     f = RationalSymbol.from_fraction(LaurentPoly.from_roots(zvals, 0.7 - 0.2j), LaurentPoly.from_roots(own))
-    if draw(st.booleans()):  # a product's zeros: two lazy parts
+    if product:  # a product's zeros: two lazy parts
         h = RationalSymbol.from_fraction(LaurentPoly.from_roots([-0.4 + 1.1j], 1.0), LaurentPoly.from_roots([3.0]))
         f = f * h
     return f, RationalSymbol.from_zpk(1.0, 0, (), [Root(v, 1, classify(v)) for v in pvals])
@@ -145,8 +155,15 @@ def _parts(sym):
     return (sym.gain, sym.zpow, sym.zeros, sym.poles, dict(sym.num.items()), dict(sym.den.items()))
 
 
+_P = 0.4 + 0.2j
+
+
 @settings(max_examples=200, deadline=None)
 @given(planted_products())
+# a triple zero at the radius, 1e-7 from the pole, and a double zero at 5e-7,
+# inside the 1e-6 radius the rule once had: both pass the value test
+@example(_planted([_P], [_P + 1e-7] * 3 + [-0.3], [2.5], True))
+@example(_planted([_P, 2.0], [_P + 5e-7j] * 2 + [1.7j], [2.5], False))
 def test_rule_equals_the_value_test_and_located_zeros(case):
     # the Newton disc only saves locating zeros: with it switched off, every
     # pole that passes the value test is decided on located zeros

@@ -34,6 +34,7 @@ from pairedk import (
 from pairedk import operators as ops
 from pairedk import properties as props
 from pairedk.errors import DomainMismatch, SymbolNotBounded, WindowOverflow
+from pairedk.roots import Root
 from pairedk.sampling import sample_symbol, trial_rng
 
 import fftcheck as fc
@@ -224,7 +225,7 @@ def test_operator_norm_falls_back_to_the_svd_bit_for_bit(monkeypatch):
 def test_operator_norm_takes_the_svd_for_general_symbols(monkeypatch):
     rng = trial_rng(0, 0)
     a, b = sample_symbol(props.GENERIC, rng), sample_symbol(props.GENERIC, rng)
-    assert not ops._constant_modulus(a) and not ops._constant_modulus(b)
+    assert a.circle_modulus() is None and b.circle_modulus() is None
     calls = _krylov_calls(monkeypatch)
     for node in (Paired(a, b), Transposed(a, b), Toeplitz(a), Compose(Paired(a, b), Transposed(b, a))):
         assert operator_norm(node, 64) == _svd_norm(node, 64)
@@ -234,10 +235,12 @@ def test_operator_norm_takes_the_svd_for_general_symbols(monkeypatch):
 def test_constant_modulus_symbols():
     inner = blaschke(0.5) * blaschke(-0.3 + 0.6j, 2) * R.monomial(3)
     for s in (R.const(2j), R.monomial(-2, 0.5), inner * 1.5, inner.reciprocal(), inner.conj_circle()):
-        assert ops._constant_modulus(s)
-    # (z - 0.5) / (z - 3): the zero's mirror is 2, not the pole
-    for s in (R.zero(), A_CZ, B_CZ, blaschke(0.5) + R.const(1), C({0: -0.5, 1: 1}) / C({0: -3, 1: 1})):
-        assert not ops._constant_modulus(s)
+        assert s.circle_modulus() is not None
+    # (z - 0.5) / (z - 3): the zero's mirror is 2, not the pole; two zeros
+    # 1e-9 apart both mirror to the pole at 2, and the pole at 3 is left over
+    two = R(1.0, 0, (Root(0.5, 1, "in"), Root(0.5 + 1e-9, 1, "in")), (Root(2.0, 1, "out"), Root(3.0, 1, "out")))
+    for s in (R.zero(), A_CZ, B_CZ, blaschke(0.5) + R.const(1), C({0: -0.5, 1: 1}) / C({0: -3, 1: 1}), two):
+        assert s.circle_modulus() is None
 
 
 @pytest.mark.parametrize("N", [64, 128])

@@ -21,6 +21,7 @@ from pairedk import (
 )
 from pairedk import rational, tolerances
 from pairedk.errors import PoleOnCircle, ZeroDenominator
+from pairedk.factorization import blaschke
 from pairedk.properties import GENERIC
 from pairedk.rational import decay_window, probe_points
 from pairedk.roots import Root, poly_roots
@@ -145,6 +146,28 @@ def test_nearby_roots_stay_distinct(gap):
     for f, values in cases:
         want = fc.fourier(values, -20, 20)
         assert fc.rel(f.fourier_range(-20, 20) - want, want) <= 1e-12
+
+
+@pytest.mark.parametrize("mult", [2, 3])
+@pytest.mark.parametrize("gap", [2e-7, 5e-7, 9e-7])
+@pytest.mark.parametrize("pole", [0.5, 0.5 + 0.3j, 2.5, -1.7j])
+def test_a_multiple_zero_beside_the_radius_keeps_its_pole(pole, gap, mult):
+    # a double or triple zero gap * max(1, |p|) from the pole, beyond the
+    # eps_cluster radius of root identity: JSON input, from_fraction and a
+    # product all keep the pole, and match the FFT
+    z0 = pole + gap * max(1.0, abs(pole))
+    top = {"gain": [1.0, 0.0], "zeros": [{"z": [z0.real, z0.imag], "m": mult}]}
+    bottom = {"gain": [1.0, 0.0], "poles": [{"z": [pole.real, pole.imag]}]}
+    data = dict(top, poles=bottom["poles"])
+    want = fc.fourier(fc.eval_json(data, fc.circle_grid(4096)), -20, 20)
+    paths = (
+        R.from_json(data),
+        R.from_fraction(LaurentPoly.from_roots([z0] * mult), LaurentPoly.from_roots([pole])),
+        R.from_json(top) * R.from_json(bottom),
+    )
+    for f in paths:
+        assert [(r.value, r.mult) for r in f.poles] == [(pole, 1)]
+        assert fc.rel(f.fourier_range(-20, 20) - want, want) <= 1e-15
 
 
 # Two summands of a sum in P_COMMEXP (master seed 7, trial 2).  The far pole
@@ -353,6 +376,90 @@ def test_membership_outer_minus_reflection_convention():
     assert membership(R.monomial(-1), SpaceTag.OUTER_MINUS)
     inside_zero = C({0: -0.3, 1: 1}) * R.monomial(-1)
     assert not membership(inside_zero, SpaceTag.OUTER_MINUS)
+    # a zero inside or on the circle reflects to one outside or on it
+    for f in (C({0: -0.5, 1: 1}) * R.monomial(-2), C({0: -1, 1: 1}) * R.monomial(-2), R.monomial(-1, 3j)):
+        assert membership(f, SpaceTag.OUTER_MINUS)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        blaschke(0.5) * 2,  # modulus 2
+        blaschke(0.5).reciprocal(),  # zero outside
+        R.monomial(-1),  # negative power
+        R(2.0, 0, (Root(0.5, 1, "in"),), (Root(2.0 * (1 + 3e-7), 1, "out"),)),  # mirror beyond the radius
+        R(4.0, 0, (Root(0.5, 2, "in"),), (Root(2.0, 1, "out"),)),  # mirror of a double zero is simple
+        R(2.0, 0, (Root(0.5, 1, "in"),), (Root(2.0, 1, "out"), Root(3.0, 1, "out"))),  # a pole left over
+    ],
+)
+def test_inner_plus_rejections(f):
+    assert not membership(f, SpaceTag.INNER_PLUS)
+    assert not _inner_by_probes(f)
+
+
+@pytest.mark.parametrize("f", [R.monomial(-2), C({0: -2, 1: 1}) * R.monomial(-2)])
+def test_outer_minus_rejections(f):
+    assert membership(f, SpaceTag.H2MINUS)
+    assert not membership(f, SpaceTag.OUTER_MINUS)
+    assert not _outer_minus_by_reflection(f)
+
+
+def _inner_by_probes(f):
+    """INNER_PLUS as it was decided before ``circle_modulus``: H-infinity,
+    every zero inside, each zero mirrored within 1e-8 to a pole of its
+    multiplicity, as many poles as zeros, and |f| = 1 to 1e-9 at 16 probe
+    points."""
+    if f.is_zero or not f.membership(SpaceTag.HINF):
+        return False
+    if f.zpow < 0 or any(r.loc != "in" for r in f.zeros):
+        return False
+    for r in f.zeros:
+        w = 1.0 / r.value.conjugate()
+        if not any(abs(p.value - w) <= 1e-8 * max(1.0, abs(w)) and p.mult == r.mult for p in f.poles):
+            return False
+    if sum(r.mult for r in f.poles) != sum(r.mult for r in f.zeros):
+        return False
+    return all(abs(abs(f.eval(t)) - 1.0) <= 1e-9 for t in probe_points(16))
+
+
+def _outer_minus_by_reflection(f):
+    """OUTER_MINUS as it was decided before: f in H2-, and conj(f) / z,
+    built as a symbol, outer plus."""
+    if f.is_zero or not f.membership(SpaceTag.H2MINUS):
+        return False
+    return (f.conj_circle() * R.monomial(-1)).membership(SpaceTag.OUTER_PLUS)
+
+
+SAMPLER_CLASSES = ("none", "Hinf", "HinfBar", "invertible", "inner", "outer")
+
+
+@pytest.mark.parametrize("constraint", SAMPLER_CLASSES)
+def test_membership_agrees_with_the_constructions_it_replaced(constraint):
+    # 200 samples of the class, circle zeros allowed in every other one, and
+    # their conj_circle(), reciprocal() and conj_circle() / z
+    verdicts = {SpaceTag.INNER_PLUS: set(), SpaceTag.OUTER_MINUS: set()}
+    for i in range(200):
+        profile = GENERIC.tighter(class_constraint=constraint, allow_circle_zeros=bool(i % 2))
+        f = sample_symbol(profile, trial_rng(5, i))
+        for g in (f, f.conj_circle(), f.reciprocal(), f.conj_circle() * R.monomial(-1)):
+            inner, outer = membership(g, SpaceTag.INNER_PLUS), membership(g, SpaceTag.OUTER_MINUS)
+            assert inner == _inner_by_probes(g)
+            assert outer == _outer_minus_by_reflection(g)
+            verdicts[SpaceTag.INNER_PLUS].add(inner)
+            verdicts[SpaceTag.OUTER_MINUS].add(outer)
+    assert verdicts[SpaceTag.OUTER_MINUS] == {True, False}
+    if constraint == "inner":
+        assert verdicts[SpaceTag.INNER_PLUS] == {True, False}
+
+
+def test_circle_modulus_equals_the_sup_on_the_circle():
+    inner = blaschke(0.5) * blaschke(-0.3 + 0.6j, 2) * R.monomial(3)
+    symbols = [R.const(2j), R.monomial(-2, 0.5), inner * 1.5, inner.reciprocal(), inner.conj_circle()]
+    symbols += [sample_symbol(GENERIC.tighter(class_constraint="inner"), trial_rng(6, i)) * (i + 0.5) for i in range(20)]
+    for f in symbols:
+        modulus = f.circle_modulus()
+        assert modulus is not None
+        assert abs(modulus - f.sup_circle()) <= 1e-12 * modulus
 
 
 def test_zero_function_membership_policy():
@@ -606,7 +713,7 @@ def test_newton_disc_allows_for_rounding_at_the_radius():
     beyond = rounded_within = 0
     for i in range(1000):
         p = cmath.rect(rng.uniform(0.2, 0.95) if i % 2 else rng.uniform(1.05, 5.0), rng.uniform(0, 2 * math.pi))
-        rho = rational._GATE * max(1.0, abs(p))
+        rho = tolerances.EPS_CLUSTER * max(1.0, abs(p))
         a1 = cmath.rect(rng.uniform(0.5, 2.0), rng.uniform(0, 2 * math.pi))
         a0 = -a1 * (p + cmath.rect(rho, rng.uniform(0, 2 * math.pi)))
         if _exact_root_distance(a0, a1, p) <= Fraction(rho) ** 2:

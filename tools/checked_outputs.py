@@ -30,9 +30,14 @@ checkout that predates it.  Each output is one line, ``<section> <key>
 - ``suite``: the canonical payloads of ``run_suite`` over every property at
   10 trials and master seed 0, sequentially and with ``parallelism`` 2;
 - ``payload``: the canonical payloads of criteria C5 (P_RANK1 100@48), C6
-  (P_ADJ 100@49) and C10's third run (P_COBURN_S 500@42).
+  (P_ADJ 100@49) and C10's third run (P_COBURN_S 500@42);
+- ``membership``: the verdict of every ``SpaceTag`` on 50 symbols of each
+  sampler class (``sample_symbol`` on the ``GENERIC`` profile at master seed
+  3, circle zeros allowed in every other trial), on their ``conj_circle()``
+  and on their ``reciprocal()`` (900 lines); a sample the sampler refuses
+  records its error.
 
-That is 1 665 lines.  Wall times stay out of every line.  BLAS runs on one
+That is 2 565 lines.  Wall times stay out of every line.  BLAS runs on one
 thread, as in the benchmark: ``bench.py`` pins it before numpy loads.
 """
 
@@ -52,6 +57,8 @@ C7 = ("P_NORM", 50, 100)
 NORM_QUERIES, NORM_N = 100, 64
 KERNEL_SEED = 1
 PAYLOADS = (("C5", "P_RANK1", 100, 48), ("C6", "P_ADJ", 100, 49), ("C10", "P_COBURN_S", 500, 42))
+MEMBERSHIP_CLASSES = ("none", "Hinf", "HinfBar", "invertible", "inner", "outer")
+MEMBERSHIP_SEED, MEMBERSHIP_COUNT = 3, 50
 
 
 def load_bench(root: Path):
@@ -86,6 +93,19 @@ def query_norms(pk, bench):
         yield f"query{query['i']}", pk.operator_norm(node_of[query["kind"]](a, b), NORM_N)
 
 
+def memberships(pk):
+    for c in MEMBERSHIP_CLASSES:
+        for i in range(MEMBERSHIP_COUNT):
+            profile = pk.properties.GENERIC.tighter(class_constraint=c, allow_circle_zeros=bool(i % 2))
+            try:
+                f = pk.sample_symbol(profile, pk.trial_rng(MEMBERSHIP_SEED, i))
+            except pk.PairedKError as exc:
+                yield f"{c}#{i}", repr(exc)
+                continue
+            for form, g in (("f", f), ("conj", f.conj_circle()), ("reciprocal", f.reciprocal())):
+                yield f"{c}#{i}.{form}", {tag.value: g.membership(tag) for tag in pk.SpaceTag}
+
+
 def outputs(pk, bench):
     props = pk.properties
     for seed in TRIAL_SEEDS:
@@ -101,6 +121,7 @@ def outputs(pk, bench):
         yield "suite", f"parallelism{workers}", "\n".join(r.canonical_payload() for r in suite.reports)
     for name, pid, count, seed in PAYLOADS:
         yield "payload", name, props.run_property(pid, count, seed, props.RunConfig()).canonical_payload()
+    yield from (("membership", k, v) for k, v in memberships(pk))
 
 
 def main(argv=None) -> int:
