@@ -450,19 +450,15 @@ def operator_norm(node, N: int) -> float:
 
     Where every symbol of the expression has constant modulus on the circle
     (``RationalSymbol.circle_modulus``), a short Golub-Kahan-Lanczos run
-    (``_krylov_norm``) tries to certify its top Ritz value: T^H T is then a
-    multiple of the identity on each Hardy space plus a finite-rank term,
-    whose top a few steps certify.  That is the largest singular value
-    unless the fixed start vector has no component along the top singular
-    vectors; then it is a smaller one, still a lower bound.  Every other
-    expression, and every run that certifies nothing, takes the full SVD and
-    so the largest singular value itself: a wrong pick costs time, never
-    accuracy."""
+    (``_krylov_norm``) tries to certify its top Ritz value.  That is the
+    largest singular value unless the fixed start vector has no component
+    along the top singular vectors; then it is a smaller one, still a lower
+    bound.  Every other expression, and every run that certifies nothing,
+    takes the full SVD and so the largest singular value itself."""
     A = truncate(node, N).entries
     if not A.any():
         return 0.0
-    constant = all(s.circle_modulus() is not None for s in _symbols_in(node))
-    top = _krylov_norm(A) if constant else None
+    top = _krylov_norm(A) if all(s.circle_modulus() for s in _symbols_in(node)) else None
     return float(np.linalg.svd(A, compute_uv=False)[0]) if top is None else top
 
 

@@ -379,7 +379,7 @@ class RationalSymbol:
             kept_zeros: List[Root] = []
             remaining = cancelled
             for z in self.zeros + other.zeros:
-                hits = [i for i, v in enumerate(remaining) if _near((z,), (v,))][: z.mult]
+                hits = [i for i, v in enumerate(remaining) if same_root(z.value, v)][: z.mult]
                 remaining = [v for i, v in enumerate(remaining) if i not in hits]
                 if z.mult > len(hits):
                     kept_zeros.append(Root(z.value, z.mult - len(hits), z.loc))
@@ -641,10 +641,11 @@ class RationalSymbol:
                 and (self.is_zero or self.delta_infinity <= 0)
             )
         if tag == SpaceTag.INNER_PLUS:
-            if not self.membership(SpaceTag.HINF) or any(r.loc != LOC_IN for r in self.zeros):
+            reflected = self.circle_modulus() if self.membership(SpaceTag.HINF) else None
+            if reflected is None or any(r.loc != LOC_IN for r in self.zeros):
                 return False
-            modulus = self.circle_modulus()
-            return modulus is not None and abs(modulus - 1.0) <= tol.EPS_CIRCLE
+            modulus, spread = reflected
+            return abs(modulus - 1.0) + modulus * spread <= tol.EPS_CIRCLE
         if tag == SpaceTag.OUTER_PLUS:
             return (
                 (not self.is_zero)
@@ -663,25 +664,28 @@ class RationalSymbol:
             )
         raise ValueError(f"unknown space tag {tag}")
 
-    def circle_modulus(self) -> Optional[float]:
-        """The constant |f| on the circle, read from the root data: where
-        every zero z_i, reflected to 1/conj(z_i), is one pole of the same
-        multiplicity under ``same_root`` and no pole is left over, |f| is
-        |gain| prod |z_i|^{m_i} (as |z - a| = |a| |z - 1/conj(a)| for
-        |z| = 1).  None for the zero function and wherever the roots do not
-        pair up so."""
-        if self.is_zero:
+    def circle_modulus(self) -> Optional[Tuple[float, float]]:
+        """(c, e) with | |f| - c | <= c e on the circle, where every zero a_i,
+        reflected to w_i = 1/conj(a_i), is one pole p_i of its multiplicity
+        m_i under ``same_root`` and no pole is left over: c = |gain| prod
+        |a_i|^{m_i}, as |z - a| = |a| |z - w| for |z| = 1, and |z - w_i| /
+        |z - p_i| is within d_i = |p_i - w_i| / ||p_i| - 1| of 1, so
+        e = prod (1 + d_i)^{m_i} - 1.  Else None, also for f = 0 and for a
+        pole on the circle."""
+        if self.is_zero or self.has_circle_pole:
             return None
         poles = list(self.poles)
+        spread = 1.0
         for z in self.zeros:
             w = 1.0 / z.value.conjugate()
             mirror = next((p for p in poles if p.mult == z.mult and same_root(w, p.value)), None)
             if mirror is None:
                 return None
             poles.remove(mirror)
+            spread *= (1.0 + abs(mirror.value - w) / abs(abs(mirror.value) - 1.0)) ** z.mult
         if poles:
             return None
-        return abs(self.gain) * math.prod(abs(z.value) ** z.mult for z in self.zeros)
+        return abs(self.gain) * math.prod(abs(z.value) ** z.mult for z in self.zeros), spread - 1.0
 
     # ------------------------------------------------------------------
     # circle norms

@@ -38,9 +38,8 @@ def classify(value: complex) -> str:
 
 
 def same_root(u: complex, v: complex) -> bool:
-    """Whether u and v name one root: |u - v| <= eps_cluster * max(1, |v|).
-    This is the only radius of root identity: clustering, a zero beside a
-    pole and the reflection of a zero onto a pole all read it."""
+    """Whether u and v name one root: |u - v| <= eps_cluster * max(1, |v|),
+    the only radius of root identity."""
     return abs(u - v) <= tol.EPS_CLUSTER * max(1.0, abs(v))
 
 

@@ -20,13 +20,17 @@ from .rational import RationalSymbol, SpaceTag
 from .roots import LOC_IN, LOC_ON, LOC_OUT, Root
 
 
+# The class constraints ``sample_symbol`` draws; it refuses any other.
+CLASS_CONSTRAINTS = ("none", "Hinf", "HinfBar", "invertible", "inner", "outer")
+
+
 @dataclass(frozen=True)
 class SamplerProfile:
     degree_bound: int = 4
     inside_annulus: Tuple[float, float] = (0.2, 0.8)
     outside_annulus: Tuple[float, float] = (1.25, 5.0)
     allow_circle_zeros: bool = False
-    class_constraint: str = "none"  # none|Hinf|HinfBar|invertible|inner|outer
+    class_constraint: str = "none"  # one of CLASS_CONSTRAINTS
     gain_magnitude: Tuple[float, float] = (0.5, 2.0)
     max_zpow: int = 2
 
@@ -100,6 +104,8 @@ _CLASSES = {
 def sample_symbol(profile: SamplerProfile, rng: np.random.Generator) -> RationalSymbol:
     """Draw one rational symbol satisfying the profile's class constraint."""
     c = profile.class_constraint
+    if c not in CLASS_CONSTRAINTS:
+        raise ValueError(f"unknown class constraint {c!r}")
     if c == "HinfBar":
         inner_profile = profile.tighter(class_constraint="Hinf")
         return sample_symbol(inner_profile, rng).conj_circle()
@@ -114,8 +120,6 @@ def sample_symbol(profile: SamplerProfile, rng: np.random.Generator) -> Rational
         if not sym.membership(SpaceTag.INNER_PLUS):
             raise DegenerateSymbol("inner sample failed its membership check")
         return sym
-    if c not in _CLASSES:
-        raise ValueError(f"unknown class constraint {c!r}")
     (lo, hi), zero_rule, pole_rule, tag = _CLASSES[c]
     n_zeros = int(rng.integers(0, profile.degree_bound + 1))
     n_poles = int(rng.integers(0, profile.degree_bound + 1))

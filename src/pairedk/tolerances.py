@@ -24,14 +24,13 @@ import sys
 EPS_EQ = 1e-11
 
 # Half-width of the band around |z| = 1 inside which a root counts as "on"
-# the circle; it also bounds |f| - 1 for an inner function.
+# the circle; it also bounds |f| - 1 for an inner function (``circle_modulus``).
 EPS_CIRCLE = 1e-9
 
 # The only radius of root identity (``roots.same_root``), relative to
-# max(1, |root|): for clustering near-identical roots into multiple roots,
-# for a zero beside a pole in the cancellation rule, and for a zero
-# reflected to 1/conj(z) onto a pole.  After clustering, two root entries
-# name one root exactly when their values are equal.
+# max(1, |root|): it clusters located roots, places a zero beside a pole and
+# matches a zero reflected to 1/conj(z) with a pole.  After clustering, two
+# root entries name one root exactly when their values are equal.
 EPS_CLUSTER = 1e-7
 
 # Coefficients below EPS_DROP * (scale) are pruned from Laurent polynomials.

@@ -233,9 +233,19 @@ def test_operator_norm_takes_the_svd_for_general_symbols(monkeypatch):
 
 
 def test_constant_modulus_symbols():
+    # circle_modulus bounds |f| on the circle: exactly where each zero's
+    # mirror is its pole, and to its spread where the mirror is only one
+    # root with the pole under same_root
     inner = blaschke(0.5) * blaschke(-0.3 + 0.6j, 2) * R.monomial(3)
-    for s in (R.const(2j), R.monomial(-2, 0.5), inner * 1.5, inner.reciprocal(), inner.conj_circle()):
-        assert s.circle_modulus() is not None
+    constant = [R.const(2j), R.monomial(-2, 0.5), inner * 1.5, inner.reciprocal(), inner.conj_circle()]
+    constant += [sample_symbol(props.GENERIC.tighter(class_constraint="inner"), trial_rng(6, i)) * (i + 0.5) for i in range(20)]
+    moved = [R(2.0, 0, (Root(0.5, 1, "in"),), (Root(2.0 * (1 + 5e-8), 1, "out"),))]
+    moved += [R(1 / (1 - 1e-6), 0, (Root(1 - 1e-6, 1, "in"),), (Root(1 / (1 - 1e-6) + 1e-7, 1, "out"),))]
+    for symbols, exact in ((constant, True), (moved, False)):
+        for s in symbols:
+            modulus, spread = s.circle_modulus()
+            assert abs(modulus - s.sup_circle()) <= (spread + 1e-12) * modulus
+            assert (spread < 1e-12) == exact
     # (z - 0.5) / (z - 3): the zero's mirror is 2, not the pole; two zeros
     # 1e-9 apart both mirror to the pole at 2, and the pole at 3 is left over
     two = R(1.0, 0, (Root(0.5, 1, "in"), Root(0.5 + 1e-9, 1, "in")), (Root(2.0, 1, "out"), Root(3.0, 1, "out")))

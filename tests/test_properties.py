@@ -48,6 +48,8 @@ def test_sampler_class_constraints():
     assert inner.membership(SpaceTag.INNER_PLUS)
     bar = sample_symbol(SamplerProfile(class_constraint="HinfBar"), trial_rng(5, 2))
     assert bar.membership(SpaceTag.HINF_BAR)
+    with pytest.raises(ValueError, match="unknown class constraint"):
+        sample_symbol(SamplerProfile(class_constraint="Hinf+"), trial_rng(5, 2))
 
 
 def test_sampler_distinct_across_trials():

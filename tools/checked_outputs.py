@@ -32,8 +32,9 @@ checkout that predates it.  Each output is one line, ``<section> <key>
 - ``payload``: the canonical payloads of criteria C5 (P_RANK1 100@48), C6
   (P_ADJ 100@49) and C10's third run (P_COBURN_S 500@42);
 - ``membership``: the verdict of every ``SpaceTag`` on 50 symbols of each
-  sampler class (``sample_symbol`` on the ``GENERIC`` profile at master seed
-  3, circle zeros allowed in every other trial), on their ``conj_circle()``
+  sampler class (the ``CLASS_CONSTRAINTS`` of this checkout's sampler;
+  ``sample_symbol`` on the ``GENERIC`` profile at master seed 3, circle
+  zeros allowed in every other trial), on their ``conj_circle()``
   and on their ``reciprocal()`` (900 lines); a sample the sampler refuses
   records its error.
 
@@ -42,6 +43,7 @@ thread, as in the benchmark: ``bench.py`` pins it before numpy loads.
 """
 
 import argparse
+import ast
 import contextlib
 import importlib.util
 import io
@@ -57,7 +59,6 @@ C7 = ("P_NORM", 50, 100)
 NORM_QUERIES, NORM_N = 100, 64
 KERNEL_SEED = 1
 PAYLOADS = (("C5", "P_RANK1", 100, 48), ("C6", "P_ADJ", 100, 49), ("C10", "P_COBURN_S", 500, 42))
-MEMBERSHIP_CLASSES = ("none", "Hinf", "HinfBar", "invertible", "inner", "outer")
 MEMBERSHIP_SEED, MEMBERSHIP_COUNT = 3, 50
 
 
@@ -93,8 +94,19 @@ def query_norms(pk, bench):
         yield f"query{query['i']}", pk.operator_norm(node_of[query["kind"]](a, b), NORM_N)
 
 
+def sampler_classes():
+    """``CLASS_CONSTRAINTS`` of the sampler in the checkout holding this
+    script, read from its source, so that a run against an older ``--root``
+    draws the same classes."""
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "src/pairedk/sampling.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["CLASS_CONSTRAINTS"]:
+            return ast.literal_eval(node.value)
+    raise LookupError("the sampler names no CLASS_CONSTRAINTS")
+
+
 def memberships(pk):
-    for c in MEMBERSHIP_CLASSES:
+    for c in sampler_classes():
         for i in range(MEMBERSHIP_COUNT):
             profile = pk.properties.GENERIC.tighter(class_constraint=c, allow_circle_zeros=bool(i % 2))
             try:
