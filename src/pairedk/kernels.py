@@ -28,7 +28,8 @@ count on the N/2 sub-block of the same matrix.  For a nontrivial kernel the
 gap divides by a singular value at roundoff level, so its digits are
 roundoff: only ``gap >= GAP_MIN`` certifies the dimension.  ``stable`` false
 flags kernel elements whose tails decay too slowly for the N/2 window to
-hold them, not a wrong dimension at N.
+hold them, not a wrong dimension at N; it is None (unknown) where the N/2
+count is not certified.
 """
 
 from __future__ import annotations
@@ -572,11 +573,13 @@ def kernel_oracle(node, N: int) -> OracleResult:
     computed on first read).  The cross-check counts the kernel of the N/2
     sub-block (rows |k| <= N/2 + d, columns |j| <= N/2, the same edge trim)
     the same way, and ``stable`` is false when the two counts differ: kernel
-    tails too slow for the N/2 window, not a wrong dimension.  For a
-    nontrivial kernel the gap divides by a singular value at roundoff level
-    (inf where it is exactly 0), and at dimension 0 it is sigma_min over the
-    threshold; only ``gap >= GAP_MIN`` certifies, and below it
-    OracleIndeterminate is raised."""
+    tails too slow for the N/2 window, not a wrong dimension.  ``stable`` is
+    None (unknown) when N/2 is below the smallest window, or when the
+    sub-block's own rank is indeterminate: an uncertified count is not
+    compared.  For a nontrivial kernel the gap divides by a singular value
+    at roundoff level (inf where it is exactly 0), and at dimension 0 it is
+    sigma_min over the threshold; only ``gap >= GAP_MIN`` certifies, and
+    below it OracleIndeterminate is raised."""
     node = build(node)
     least = oracle_min_window(node)
     if N < least:
@@ -589,7 +592,9 @@ def kernel_oracle(node, N: int) -> OracleResult:
     stable = None
     if N // 2 >= least:
         half, _ = _oracle_window(M, N // 2, d)
-        stable = half.shape[1] - numerical_rank(half).rank == dim
+        half_res = numerical_rank(half)
+        if not half_res.indeterminate:
+            stable = half.shape[1] - half_res.rank == dim
     result = OracleResult(dim, res.gap, A, kept, stable, res.sigma_max)
     if res.indeterminate:
         raise OracleIndeterminate(f"kernel oracle gap {res.gap:.3g} below certificate", result)

@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from . import tolerances as tol
-from .errors import CertificateFailed, PairedKError, UnknownProperty
+from .errors import UnknownProperty
 from .factorization import winding_index
 from .kernels import (
     SymbolPair,
@@ -150,11 +150,11 @@ def _coeff_scale(s: RationalSymbol, k: int = 12) -> float:
     return float(np.abs(s.fourier_range(-k, k)).max())
 
 
-def _vanishes(sym: RationalSymbol, floor: float, rel: float = 1e-9) -> bool:
+def _vanishes(sym: RationalSymbol, floor: float) -> bool:
     """Coefficient-level vanishing relative to the operand scale."""
     if sym.is_zero:
         return True
-    return _coeff_scale(sym, 24) <= rel * max(floor, 1e-300)
+    return _coeff_scale(sym, 24) <= tol.COEFF_ZERO * max(floor, 1e-300)
 
 
 def _id_residual(lhs: RationalSymbol, rhs: RationalSymbol, floor: float) -> float:
@@ -170,16 +170,33 @@ def _id_residual(lhs: RationalSymbol, rhs: RationalSymbol, floor: float) -> floa
     return float(np.abs(dl - dr).max()) / scale
 
 
+def _identity_verdict(probes, op_scale: float, sides) -> tuple:
+    """(ok, detail) of an operator identity: ``sides(f)`` yields the
+    (lhs, rhs) pairs it claims equal on the probe f, and the worst residual
+    over every pair and probe must stay within IDENTITY_RESIDUAL."""
+    worst = 0.0
+    for f in probes:
+        floor = op_scale * max(_coeff_scale(f), 1.0)
+        for lhs, rhs in sides(f):
+            worst = max(worst, _id_residual(lhs, rhs, floor))
+    return worst <= tol.IDENTITY_RESIDUAL, {"max_residual": worst}
+
+
 def _nonzero_pair(rng, profile=GENERIC) -> SymbolPair:
+    # the sampler never returns the zero symbol or a pole on the circle
     for _ in range(16):
-        a = sample_symbol(profile, rng)
-        b = sample_symbol(profile, rng)
-        if a.has_circle_pole or b.has_circle_pole:
-            continue
-        if a.is_zero or b.is_zero or a.equals(b):
-            continue
-        return SymbolPair(a, b)
+        pair = SymbolPair(sample_symbol(profile, rng), sample_symbol(profile, rng))
+        if pair.nondegenerate:
+            return pair
     raise RuntimeError("sampling a nondegenerate pair failed")
+
+
+def _winding_pair(rng) -> tuple:
+    """(kappa, (g b, b)): g of winding kappa in [-3, 2], b invertible."""
+    kappa = int(rng.integers(-3, 3))
+    g = sample_quotient_with_winding(GENERIC, rng, kappa)
+    b = sample_symbol(GENERIC.tighter(class_constraint="invertible"), rng)
+    return kappa, SymbolPair(g * b, b)
 
 
 # ----------------------------------------------------------------------
@@ -199,7 +216,7 @@ def _p_norm(rng, cfg):
     m = max(sup_a, sup_b)
     upper = min(sup_a + sup_b, math.sqrt(2.0) * m)
     norm = operator_norm(Paired(a, b), NORM_N)
-    ok = (m - 1e-9 <= norm <= upper + 1e-9)
+    ok = (m - tol.NORM_SLACK <= norm <= upper + tol.NORM_SLACK)
     return ok, {"norm": norm, "m": m, "upper": upper}
 
 
@@ -219,8 +236,6 @@ def _p_prod(rng, cfg):
     p = _nonzero_pair(rng)
     at = sample_symbol(GENERIC.tighter(class_constraint="Hinf"), rng)
     bt = sample_symbol(GENERIC.tighter(class_constraint="HinfBar"), rng)
-    if at.is_zero or bt.is_zero:
-        return True, {"skipped": "degenerate analytic sample"}
     lhs = Compose(Paired(p.a, p.b), Paired(at, bt))
     rhs = Paired(p.a * at, p.b * bt)
     for f in _probe_functions(rng):
@@ -249,49 +264,45 @@ def _p_prodres(rng, cfg):
     p = _nonzero_pair(rng)
     q = _nonzero_pair(rng)
     op_scale = (_coeff_scale(p.a) + _coeff_scale(p.b)) * (_coeff_scale(q.a) + _coeff_scale(q.b))
-    worst = 0.0
     # the probes share every symbol and node below
     dp, dq = p.a - p.b, q.a - q.b
     composed, product = Compose(Paired(p.a, p.b), Paired(q.a, q.b)), Paired(p.a * q.a, p.b * q.b)
     composed_t, product_t = Compose(Transposed(p.a, p.b), Transposed(q.a, q.b)), Transposed(product.a, product.b)
-    for f in _probe_functions(rng):
-        floor = op_scale * max(_coeff_scale(f), 1.0)
+
+    def sides(f):
         lhs = apply_exact(composed, f) - apply_exact(product, f)
-        rhs = dp * _cross_term(q, f.riesz("plus"), f.riesz("minus"))
-        worst = max(worst, _id_residual(lhs, rhs, floor))
+        yield lhs, dp * _cross_term(q, f.riesz("plus"), f.riesz("minus"))
         lhs2 = apply_exact(composed_t, f) - apply_exact(product_t, f)
         inner = dq * f
-        rhs2 = (p.b * inner.riesz("plus")).riesz("minus") - (p.a * inner.riesz("minus")).riesz("plus")
-        worst = max(worst, _id_residual(lhs2, rhs2, floor))
-    return worst <= 1e-10, {"max_residual": worst}
+        yield lhs2, (p.b * inner.riesz("plus")).riesz("minus") - (p.a * inner.riesz("minus")).riesz("plus")
+
+    return _identity_verdict(_probe_functions(rng), op_scale, sides)
 
 
 def _p_commexp(rng, cfg):
     p = _nonzero_pair(rng)
     q = _nonzero_pair(rng)
     op_scale = (_coeff_scale(p.a) + _coeff_scale(p.b)) * (_coeff_scale(q.a) + _coeff_scale(q.b))
-    worst = 0.0
     # the probes share every symbol and node below
     dp, dq = p.a - p.b, q.a - q.b
     comm = Commutator(Paired(p.a, p.b), Paired(q.a, q.b))
     comm_t = Commutator(Transposed(p.a, p.b), Transposed(q.a, q.b))
-    for f in _probe_functions(rng):
-        floor = op_scale * max(_coeff_scale(f), 1.0)
+
+    def sides(f):
         lhs = apply_exact(comm, f)
         fp, fm = f.riesz("plus"), f.riesz("minus")
-        rhs = dp * _cross_term(q, fp, fm) - dq * _cross_term(p, fp, fm)
-        worst = max(worst, _id_residual(lhs, rhs, floor))
+        yield lhs, dp * _cross_term(q, fp, fm) - dq * _cross_term(p, fp, fm)
         lhs2 = apply_exact(comm_t, f)
         u = dp * f
         v = dq * f
-        rhs2 = (
+        yield lhs2, (
             (q.a * u.riesz("minus")).riesz("plus")
             - (q.b * u.riesz("plus")).riesz("minus")
             - (p.a * v.riesz("minus")).riesz("plus")
             + (p.b * v.riesz("plus")).riesz("minus")
         )
-        worst = max(worst, _id_residual(lhs2, rhs2, floor))
-    return worst <= 1e-10, {"max_residual": worst}
+
+    return _identity_verdict(_probe_functions(rng), op_scale, sides)
 
 
 def _p_finrank(rng, cfg):
@@ -301,11 +312,8 @@ def _p_finrank(rng, cfg):
     node = Commutator(Paired(p.a, p.b), Mult(eta))
     d = bandwidth(node)
     n1 = max(32, 2 * d)
-    # rank threshold sits well above the truncation noise floor and below
-    # the smallest genuine singular value
-    rank_tol = 1e-7
-    r1 = numerical_rank(truncate(node, n1), rank_tol)
-    r2 = numerical_rank(truncate(node, 2 * n1), rank_tol)
+    r1 = numerical_rank(truncate(node, n1), tol.COMMUTATOR_RANK_TOL)
+    r2 = numerical_rank(truncate(node, 2 * n1), tol.COMMUTATOR_RANK_TOL)
     num = eta.num
     bound = (eta.poles_at(LOC_IN) + max(0, -num.lo)) + (eta.poles_at(LOC_OUT) + max(0, num.hi))
     ok = (r1.rank == r2.rank) and r1.rank <= bound and not r1.indeterminate and not r2.indeterminate
@@ -355,20 +363,8 @@ def _p_commutant(rng, cfg):
     btv = sample_symbol(GENERIC.tighter(class_constraint="HinfBar"), rng)
     if av.equals(bv) or atv.equals(btv):
         return True, {"skipped": "converse sample degenerated"}
-    if bv.membership(SpaceTag.HINF_BAR):
-        return True, {"skipped": "converse sample accidentally co-analytic"}
-    # rule out the affine relation between the pairs
-    affine = False
-    for k in range(-4, 5):
-        c = atv.fourier(k)
-        if k != 0 and abs(c) > 1e-8:
-            lam2 = av.fourier(k) / c
-            mu2 = av.fourier(0) - lam2 * atv.fourier(0)
-            if (av - (lam2 * atv + mu2)).is_zero and (bv - (lam2 * btv + mu2)).is_zero:
-                affine = True
-            break
-    if affine:
-        return True, {"skipped": "converse sample accidentally affine"}
+    # bv = s z (s in Hinf, s != 0) is not co-analytic, and bv - mu = lam btv would
+    # make it constant though bv(0) = 0: neither split nor affine relation holds
     if _commutes_on_probes(Paired(av, bv), Paired(atv, btv), probes):
         return False, {"case": "noncommuting pair commuted on all probes"}
     return True, {}
@@ -412,39 +408,40 @@ def _kercomm_witness(eta: RationalSymbol, rng) -> RationalSymbol:
     return f_plus + _build_plus_killer(eta.conj_circle(), rng).conj_circle() * R.monomial(-1)
 
 
+def _kercomm_verdict(node, eta: RationalSymbol, probes, weight=None) -> tuple:
+    """(ok, detail) of a commutation criterion: on every probe f the
+    commutator ``node`` with M_eta kills f exactly when f (``weight * f``
+    when a weight is given) meets the projection conditions."""
+    floor = _op_coeff_scale(node)
+    for f in probes:
+        vanishes = _vanishes(apply_exact(node, f), floor * max(_coeff_scale(f), 1.0))
+        conds = _kercomm_conditions(f if weight is None else weight * f, eta)
+        if vanishes != conds:
+            return False, {"reason": "equivalence mismatch", "vanishes": vanishes, "conds": conds}
+    return True, {}
+
+
 def _p_kercomm_s(rng, cfg):
     p = _nonzero_pair(rng)
     eta = sample_symbol(GENERIC, rng)
     node = Commutator(Paired(p.a, p.b), Mult(eta))
-    floor = _op_coeff_scale(node)
     f_good = _kercomm_witness(eta, rng)
     if not _kercomm_conditions(f_good, eta):
         return False, {"reason": "constructed function fails the projection conditions"}
-    for f in [f_good, sample_l2_function(GENERIC, rng), sample_l2_function(GENERIC, rng)]:
-        vanishes = _vanishes(apply_exact(node, f), floor * max(_coeff_scale(f), 1.0))
-        conds = _kercomm_conditions(f, eta)
-        if vanishes != conds:
-            return False, {"reason": "equivalence mismatch", "vanishes": vanishes, "conds": conds}
-    return True, {}
+    probes = [f_good, sample_l2_function(GENERIC, rng), sample_l2_function(GENERIC, rng)]
+    return _kercomm_verdict(node, eta, probes)
 
 
 def _p_kercomm_sig(rng, cfg):
     a = sample_symbol(GENERIC, rng)
     delta = sample_symbol(GENERIC.tighter(class_constraint="invertible"), rng)
     b = a - delta
-    if b.is_zero or a.is_zero:
+    if b.is_zero:
         return True, {"skipped": "degenerate difference"}
-    p = SymbolPair(a, b)
     eta = sample_symbol(GENERIC, rng)
     node = Commutator(Transposed(a, b), Mult(eta))
-    floor = _op_coeff_scale(node)
-    f_good = _kercomm_witness(eta, rng) / delta
-    for f in [f_good, sample_l2_function(GENERIC, rng)]:
-        vanishes = _vanishes(apply_exact(node, f), floor * max(_coeff_scale(f), 1.0))
-        conds = _kercomm_conditions((a - b) * f, eta)
-        if vanishes != conds:
-            return False, {"reason": "equivalence mismatch", "vanishes": vanishes, "conds": conds}
-    return True, {}
+    probes = [_kercomm_witness(eta, rng) / delta, sample_l2_function(GENERIC, rng)]
+    return _kercomm_verdict(node, eta, probes, weight=a - b)
 
 
 def _p_adj(rng, cfg):
@@ -456,7 +453,7 @@ def _p_adj(rng, cfg):
     pos = adjoint_residual(
         Paired(a, b), Paired(a.conj_circle(), b.conj_circle()), 6
     )
-    if pos > 1e-12:
+    if pos > tol.ADJOINT_RESIDUAL:
         return False, {"reason": "adjoint residual for constant difference", "residual": pos}
     # negative: force a low-order nonconstant difference
     shift = R.from_coeffs({1: complex(rng.uniform(0.5, 1.5), 0.0), 0: 1.0})
@@ -466,7 +463,7 @@ def _p_adj(rng, cfg):
     neg = adjoint_residual(
         Paired(a, b2), Paired(a.conj_circle(), b2.conj_circle()), 6
     )
-    if neg < 1e-3:
+    if neg < tol.ADJOINT_DEFECT_MIN:
         return False, {"reason": "nonconstant difference looked self-adjoint", "residual": neg}
     return True, {"positive_residual": pos, "negative_residual": neg}
 
@@ -476,10 +473,8 @@ def _p_jmap(rng, cfg):
     kb = transposed_kernel(pair)
     if kb.status != "exact" or kb.dimension == 0:
         return False, {"reason": "expected a nontrivial exact transposed kernel"}
-    for psi in kb.elements:
-        phi = j_map(psi, pair)
-        if not member_S(phi, pair):
-            return False, {"reason": "forward image leaves the paired kernel"}
+    if not all(member_S(j_map(psi, pair), pair) for psi in kb.elements):
+        return False, {"reason": "forward image leaves the paired kernel"}
     pk = paired_kernel(pair)
     for el in pk.elements:
         phi = el.total
@@ -519,11 +514,11 @@ def _p_rank1(rng, cfg):
     floor = (_coeff_scale(p.a) + _coeff_scale(p.b)) * max(_coeff_scale(f), 1.0)
     img = apply_exact(Commutator(Paired(p.a, p.b), mz), f)
     want = (p.a - p.b) * f.fourier(-1)
-    if _id_residual(img, want, floor) > 1e-9:
+    if _id_residual(img, want, floor) > tol.ACTION_RESIDUAL:
         return False, {"reason": "paired commutator action mismatch"}
     img2 = apply_exact(Commutator(Transposed(p.a, p.b), mz), f)
     want2 = R.const(((p.a - p.b) * f).fourier(-1))
-    if _id_residual(img2, want2, floor) > 1e-9:
+    if _id_residual(img2, want2, floor) > tol.ACTION_RESIDUAL:
         return False, {"reason": "transposed commutator action mismatch"}
     return True, results
 
@@ -532,7 +527,7 @@ def _p_equiv(rng, cfg):
     prof = GENERIC.tighter(class_constraint="invertible", degree_bound=2)
     a = sample_symbol(prof, rng)
     b = sample_symbol(prof, rng)
-    if a.is_zero or b.is_zero or a.equals(b):
+    if a.equals(b):
         return True, {"skipped": "degenerate invertible sample"}
     P, Q = ProjPlus(), ProjMinus()
     ab = a / b
@@ -544,13 +539,13 @@ def _p_equiv(rng, cfg):
     full9 = _compose(left9, Paired(a, b), right)
     target = Transposed(a, b)
     op_scale = (_coeff_scale(a) + _coeff_scale(b)) * (1.0 + _coeff_scale(a / b))
-    worst = 0.0
-    for f in _probe_functions(rng, count=1):
-        floor = op_scale * max(_coeff_scale(f), 1.0)
+
+    def sides(f):
         want = apply_exact(target, f)
-        worst = max(worst, _id_residual(apply_exact(full8, f), want, floor))
-        worst = max(worst, _id_residual(apply_exact(full9, f), want, floor))
-    return worst <= 1e-10, {"max_residual": worst}
+        yield apply_exact(full8, f), want
+        yield apply_exact(full9, f), want
+
+    return _identity_verdict(_probe_functions(rng, count=1), op_scale, sides)
 
 
 def _p_rh(rng, cfg):
@@ -561,12 +556,12 @@ def _p_rh(rng, cfg):
     if kb.dimension != max(0, -kappa):
         return False, {"reason": "kernel dimension does not match the winding index"}
     for el in kb.elements:
-        floor = (_coeff_scale(pair.a) + _coeff_scale(pair.b)) * max(_coeff_scale(el.total), 1e-6)
+        floor = (_coeff_scale(pair.a) + _coeff_scale(pair.b)) * max(_coeff_scale(el.total), tol.RH_SCALE_FLOOR)
         resid = _id_residual(pair.a * el.plus, -(pair.b * el.minus), floor)
-        if resid > 1e-10:
+        if resid > tol.IDENTITY_RESIDUAL:
             return False, {"reason": "Riemann-Hilbert identity residual", "residual": resid}
     probe = sample_l2_function(GENERIC, rng)
-    if member_S(probe, pair) and not probe.is_zero:
+    if member_S(probe, pair):
         # possible but measure-zero; treat as failure to flag the sampler
         return False, {"reason": "random probe accidentally in the kernel"}
     return True, {"kappa": kappa}
@@ -574,19 +569,14 @@ def _p_rh(rng, cfg):
 
 def _p_scale(rng, cfg):
     pair = sample_pair_with_kernel(GENERIC, rng, int(rng.integers(1, 3)), "invertible")
+    # circle zeros only: the sampler never puts a pole on the circle
     eta = sample_symbol(GENERIC.tighter(allow_circle_zeros=True), rng)
-    if eta.is_zero or eta.has_circle_pole:
-        return True, {"skipped": "unusable scaling symbol"}
     scaled = SymbolPair(pair.a * eta, pair.b * eta)
-    kb1 = paired_kernel(pair)
-    for el in kb1.elements:
-        if not member_S(el.total, scaled):
-            return False, {"reason": "kernel element lost under scaling"}
+    if not all(member_S(el.total, scaled) for el in paired_kernel(pair).elements):
+        return False, {"reason": "kernel element lost under scaling"}
     kb2 = paired_kernel(scaled)
-    if kb2.status == "exact":
-        for el in kb2.elements:
-            if not member_S(el.total, pair):
-                return False, {"reason": "scaled kernel element not in original"}
+    if kb2.status == "exact" and not all(member_S(el.total, pair) for el in kb2.elements):
+        return False, {"reason": "scaled kernel element not in original"}
     return True, {}
 
 
@@ -599,21 +589,16 @@ def _p_kereq(rng, cfg):
     other = SymbolPair(pair.a, pair.b * R.from_coeffs({0: -0.31, 1: 1.0}))
     if kernels_equal_S(pair, other):
         return False, {"reason": "distinct quotients reported equal"}
-    for el in paired_kernel(pair).elements:
-        if not member_S(el.total, scaled):
-            return False, {"reason": "equal kernels disagree elementwise"}
+    if not all(member_S(el.total, scaled) for el in paired_kernel(pair).elements):
+        return False, {"reason": "equal kernels disagree elementwise"}
     return True, {}
 
 
 def _p_unique(rng, cfg):
-    prof = GENERIC.tighter(degree_bound=2)
-    for _ in range(16):
-        phi_p = sample_symbol(prof.tighter(class_constraint="Hinf"), rng)
-        if not phi_p.is_zero and phi_p.membership(SpaceTag.H2PLUS):
-            break
-    phi_m = sample_symbol(prof.tighter(class_constraint="Hinf"), rng).conj_circle() * R.monomial(-1)
-    if phi_p.is_zero or phi_m.is_zero:
-        return True, {"skipped": "degenerate halves"}
+    prof = GENERIC.tighter(degree_bound=2, class_constraint="Hinf")
+    # a nonzero Hinf sample is in H2+, and conj(it) / z in H2-
+    phi_p = sample_symbol(prof, rng)
+    phi_m = sample_symbol(prof, rng).conj_circle() * R.monomial(-1)
     pair = symbols_from_function(phi_p, phi_m)
     phi = phi_p + phi_m
     if not member_S(phi, pair):
@@ -630,10 +615,7 @@ def _p_unique(rng, cfg):
 
 
 def _p_nontriv_s(rng, cfg):
-    kappa = int(rng.integers(-3, 3))
-    g = sample_quotient_with_winding(GENERIC, rng, kappa)
-    b = sample_symbol(GENERIC.tighter(class_constraint="invertible"), rng)
-    pair = SymbolPair(g * b, b)
+    kappa, pair = _winding_pair(rng)
     res = nontrivial_S(pair)
     expect = kappa < 0
     if res.status != expect:
@@ -684,14 +666,10 @@ def _p_sigma_struct(rng, cfg):
     if kb2.status != "exact" or kb2.dimension != dim_theta:
         return False, {"reason": "reflected model space has wrong dimension"}
     model_pair = SymbolPair(theta.conj_circle(), R.const(1.0))
-    for e in kb2.elements:
-        back = (e * R.monomial(1)).conj_circle()
-        if not member_Sigma(back, model_pair):
-            return False, {"reason": "reflected element leaves the model space"}
-    for e in model_space_basis(theta).elements:
-        fwd = e.conj_circle() * R.monomial(-1)
-        if not member_Sigma(fwd, refl_pair):
-            return False, {"reason": "model element fails the reflected kernel"}
+    if not all(member_Sigma((e * R.monomial(1)).conj_circle(), model_pair) for e in kb2.elements):
+        return False, {"reason": "reflected element leaves the model space"}
+    if not all(member_Sigma(e.conj_circle() * R.monomial(-1), refl_pair) for e in model_space_basis(theta).elements):
+        return False, {"reason": "model element fails the reflected kernel"}
     return True, {}
 
 
@@ -709,10 +687,7 @@ def _sigma_circle_zero_case(rng):
 
 
 def _p_nontriv_sig(rng, cfg):
-    kappa = int(rng.integers(-3, 3))
-    g = sample_quotient_with_winding(GENERIC, rng, kappa)
-    b = sample_symbol(GENERIC.tighter(class_constraint="invertible"), rng)
-    pair = SymbolPair(g * b, b)
+    kappa, pair = _winding_pair(rng)
     res = nontrivial_Sigma(pair)
     if res.status != (kappa < 0):
         return False, {"reason": "regular decision mismatch", "kappa": kappa}
@@ -737,8 +712,6 @@ def _p_sigma_incl(rng, cfg):
     pair = sample_pair_with_kernel(GENERIC, rng, int(rng.integers(1, 3)), "invertible")
     h_minus = sample_symbol(GENERIC.tighter(class_constraint="HinfBar", degree_bound=2), rng)
     h_plus = sample_symbol(GENERIC.tighter(class_constraint="Hinf", degree_bound=2), rng)
-    if h_minus.is_zero or h_plus.is_zero:
-        return True, {"skipped": "degenerate multipliers"}
     q = SymbolPair(pair.a * h_minus, pair.b * h_plus)
     verdict = sigma_inclusion(pair, q)
     if verdict not in ("subset", "equal"):
@@ -746,9 +719,8 @@ def _p_sigma_incl(rng, cfg):
     kb_p = transposed_kernel(pair)
     kb_q = transposed_kernel(q)
     if kb_q.status == "exact":
-        for e in kb_p.elements:
-            if not member_Sigma(e, q):
-                return False, {"reason": "claimed inclusion fails elementwise"}
+        if not all(member_Sigma(e, q) for e in kb_p.elements):
+            return False, {"reason": "claimed inclusion fails elementwise"}
         if verdict == "equal" and kb_p.dimension != kb_q.dimension:
             return False, {"reason": "claimed equality with different dimensions"}
         has_inner = _has_plus_inner_factor(h_plus) or _has_minus_inner_factor(h_minus)
@@ -766,23 +738,33 @@ def _p_sigma_incl(rng, cfg):
 
 def _p_coburn_sig(rng, cfg):
     p = _nonzero_pair(rng)
-    try:
-        r1 = nontrivial_Sigma(p)
-        r2 = nontrivial_Sigma(p.swap())
-    except CertificateFailed:
-        raise  # a failed self-check is a failure, not a degenerate pair
-    except PairedKError:
-        return True, {"skipped": "degenerate pair"}
+    r1 = nontrivial_Sigma(p)
+    r2 = nontrivial_Sigma(p.swap())
     if r1.status is True and r2.status is True:
         return False, {"reason": "both opposite transposed kernels nontrivial"}
     return True, {}
 
 
-def _p_inv(rng, cfg):
-    # transposed side: co-analytic/analytic symbols leave the kernel invariant
-    theta = sample_symbol(GENERIC.tighter(class_constraint="inner", degree_bound=2), rng)
+def _nonconstant_inner(rng, degree_bound: int) -> RationalSymbol:
+    """An inner theta with dim K_theta >= 1: a constant draw is multiplied by z."""
+    theta = sample_symbol(GENERIC.tighter(class_constraint="inner", degree_bound=degree_bound), rng)
     if theta.zpow + theta.zeros_at(LOC_IN) == 0:
         theta = theta * R.monomial(1)
+    return theta
+
+
+def _split_invariant(elements, pair: SymbolPair, rng) -> bool:
+    """Whether P+ at + P- bt, with at co-analytic and bt analytic, maps every
+    element into the transposed kernel of ``pair``."""
+    at = sample_symbol(GENERIC.tighter(class_constraint="HinfBar"), rng)
+    bt = sample_symbol(GENERIC.tighter(class_constraint="Hinf"), rng)
+    act = Transposed(at, bt)
+    return all(member_Sigma(apply_exact(act, e), pair) for e in elements)
+
+
+def _p_inv(rng, cfg):
+    # transposed side: co-analytic/analytic symbols leave the kernel invariant
+    theta = _nonconstant_inner(rng, 2)
     o1 = sample_symbol(GENERIC.tighter(class_constraint="outer", degree_bound=1), rng)
     a = (theta * o1).conj_circle()
     b = sample_symbol(GENERIC.tighter(class_constraint="outer", degree_bound=1), rng)
@@ -790,16 +772,12 @@ def _p_inv(rng, cfg):
     kb = transposed_kernel(pair)
     if kb.status != "exact" or kb.dimension == 0:
         return False, {"reason": "expected a nontrivial exact kernel"}
-    at = sample_symbol(GENERIC.tighter(class_constraint="HinfBar"), rng)
-    bt = sample_symbol(GENERIC.tighter(class_constraint="Hinf"), rng)
-    act = Transposed(at, bt)
-    for psi in kb.elements:
-        if not member_Sigma(apply_exact(act, psi), pair):
-            return False, {"reason": "image left the invariant kernel"}
+    if not _split_invariant(kb.elements, pair, rng):
+        return False, {"reason": "image left the invariant kernel"}
     # paired side with the analytic split: kernel is {0}, invariance is trivial
     a2 = sample_symbol(GENERIC.tighter(class_constraint="Hinf"), rng)
     b2 = sample_symbol(GENERIC.tighter(class_constraint="HinfBar"), rng)
-    if not a2.is_zero and not b2.is_zero and not a2.equals(b2):
+    if not a2.equals(b2):
         kb2 = paired_kernel(SymbolPair(a2, b2))
         if kb2.status == "exact" and kb2.dimension != 0:
             return False, {"reason": "analytic/co-analytic paired kernel unexpectedly nonzero"}
@@ -807,17 +785,11 @@ def _p_inv(rng, cfg):
 
 
 def _p_modelinv(rng, cfg):
-    theta = sample_symbol(GENERIC.tighter(class_constraint="inner", degree_bound=3), rng)
-    if theta.zpow + theta.zeros_at(LOC_IN) == 0:
-        theta = theta * R.monomial(1)
+    theta = _nonconstant_inner(rng, 3)
     basis = model_space_basis(theta)
     pair = SymbolPair(theta.conj_circle(), R.const(1.0))
-    at = sample_symbol(GENERIC.tighter(class_constraint="HinfBar"), rng)
-    bt = sample_symbol(GENERIC.tighter(class_constraint="Hinf"), rng)
-    act = Transposed(at, bt)
-    for e in basis.elements:
-        if not member_Sigma(apply_exact(act, e), pair):
-            return False, {"reason": "model space not invariant"}
+    if not _split_invariant(basis.elements, pair, rng):
+        return False, {"reason": "model space not invariant"}
     return True, {"dim": basis.dimension}
 
 
@@ -829,7 +801,7 @@ def _p_almost(rng, cfg):
     X = Paired(q.a, q.b)
     node = Commutator(X, T)
     d = bandwidth(node)
-    res = numerical_rank(truncate(node, max(40, 3 * d)), 1e-7)
+    res = numerical_rank(truncate(node, max(40, 3 * d)), tol.COMMUTATOR_RANK_TOL)
     if res.indeterminate:
         return False, {"reason": "commutator rank indeterminate", "gap": res.gap}
     kb = paired_kernel(pair)
@@ -887,11 +859,9 @@ def _p_fplus0(rng, cfg):
     kb = paired_kernel(pair)
     if kb.status != "exact" or kb.dimension == 0:
         return False, {"reason": "expected a nontrivial exact kernel"}
-    has_const = any(abs(el.plus.fourier(0)) > 1e-9 for el in kb.elements)
-    has_residue = any(abs(el.minus.fourier(-1)) > 1e-9 for el in kb.elements)
-    if not has_const:
+    if not any(abs(el.plus.fourier(0)) > tol.COEFF_ZERO for el in kb.elements):
         return False, {"reason": "no element with nonzero plus value at the origin"}
-    if not has_residue:
+    if not any(abs(el.minus.fourier(-1)) > tol.COEFF_ZERO for el in kb.elements):
         return False, {"reason": "no element with nonzero leading minus coefficient"}
     return True, {}
 
@@ -986,12 +956,7 @@ def run_property(
         trials=n,
         passes=passes,
         failures=failures,
-        tolerances={
-            "eps_eq": tolerances["eps_eq"],
-            "rank_tol": tolerances["rank_tol"],
-            "gap_min": tol.GAP_MIN,
-            "oracle_N": cfg.oracle_N,
-        },
+        tolerances=dict(tolerances, gap_min=tol.GAP_MIN, oracle_N=cfg.oracle_N),
         wall_time=wall,
     )
 

@@ -982,12 +982,12 @@ def rf_normalize(num: LaurentPoly, den: LaurentPoly) -> RationalSymbol:
     checked = 0
     for t in probe_points(16):
         dv = den.eval(t)
-        if abs(dv) < 1e-6 * max(den.norm_inf(), 1e-300):
+        if abs(dv) < tol.PROBE_DEN_MIN * max(den.norm_inf(), 1e-300):
             continue
         want = num.eval(t) / dv
         got = sym.eval(t)
         scale = max(abs(want), abs(got), 1.0)
-        if abs(want - got) > 1e-7 * scale:
+        if abs(want - got) > tol.PROBE_DRIFT * scale:
             raise CertificateFailed(
                 f"normalization drifted at probe {t:.4f}: {want} vs {got}"
             )

@@ -73,7 +73,7 @@ def _polish(coeffs_desc: np.ndarray, roots: np.ndarray) -> np.ndarray:
     pv = np.polyval(coeffs_desc, roots)
     dv = np.polyval(deriv, roots)
     # a near-multiple root keeps its value: Newton would wander
-    ok = np.abs(dv) > 1e-8 * scale * np.maximum(1.0, np.abs(roots)) ** (len(deriv) - 1)
+    ok = np.abs(dv) > tol.NEWTON_GUARD * scale * np.maximum(1.0, np.abs(roots)) ** (len(deriv) - 1)
     cand = np.where(ok, roots - pv / np.where(ok, dv, 1.0), roots)
     better = ok & (np.abs(np.polyval(coeffs_desc, cand)) < np.abs(pv))
     return np.where(better, cand, roots)

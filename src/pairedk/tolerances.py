@@ -2,7 +2,10 @@
 
 All coefficients are double-precision complex; "exact" equality means a
 relative residual below EPS_EQ.  The constants below are module-level and
-library code reads them through the module at call time.
+library code reads them through the module at call time.  No other module
+writes a float literal of at most 1e-3, apart from 1e-300 division guards.
+Only the four constants named in ``SETTABLE`` (EPS_EQ, EPS_CIRCLE,
+EPS_CLUSTER, RANK_TOL) are settable; every other one is fixed.
 
 The four keys of ``SETTABLE`` are set only through ``configured``, which
 overrides them for the length of a ``with`` block and restores them when it
@@ -12,9 +15,10 @@ noise).  Library callers write
 ``with tolerances.configured(rank_tol=1e-8): ...``.  The CLI opens one such
 block per command, from its ``--tol`` flag (``rank_tol``) and its config file;
 the flag wins over the file, and the file over the defaults below.
-``properties.run_property`` records the active values and re-opens the block
-around every trial, so worker processes compute with the values the report
-records under every process start method (fork, spawn, forkserver).
+``properties.run_property`` records the active values of all four and
+re-opens the block around every trial, so worker processes compute with the
+values the report records under every process start method (fork, spawn,
+forkserver).
 """
 
 import contextlib
@@ -49,6 +53,25 @@ GAP_MIN = 1e3
 # settable: either way the answer is a certified singular value.
 NORM_CERT = 4 * sys.float_info.epsilon
 NORM_STEP_COST = 20
+
+# Fixed guards.  ``roots._polish`` takes no Newton step where |p'| is at most
+# NEWTON_GUARD times the polynomial's scale (near a multiple root it would
+# wander).  ``rf_normalize`` skips a probe point whose denominator is below
+# PROBE_DEN_MIN of its largest coefficient, and refuses a value that drifts
+# by more than PROBE_DRIFT relative to max(1, |value|).
+NEWTON_GUARD = 1e-8
+PROBE_DEN_MIN = 1e-6
+PROBE_DRIFT = 1e-7
+
+# Verdict thresholds of the property suite, one per meaning; none is settable.
+IDENTITY_RESIDUAL = 1e-10  # operator identities: P_PRODRES, P_COMMEXP, P_EQUIV, P_RH
+RH_SCALE_FLOOR = 1e-6  # P_RH counts a kernel element as at least this large
+ACTION_RESIDUAL = 1e-9  # P_RANK1's formulas for the rank-one action
+COEFF_ZERO = 1e-9  # a coefficient this small is zero: P_FPLUS0, and _vanishes relative to the operand scale
+COMMUTATOR_RANK_TOL = 1e-7  # P_FINRANK, P_ALMOST: above truncation noise, below the signal
+NORM_SLACK = 1e-9  # slack of P_NORM's two-sided bound
+ADJOINT_RESIDUAL = 1e-12  # P_ADJ: at most this for a constant a - b ...
+ADJOINT_DEFECT_MIN = 1e-3  # ... and at least this for a nonconstant one
 
 # Settable key -> the constant it overrides.
 SETTABLE = {

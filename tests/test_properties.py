@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import functools
 import json
 import multiprocessing
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairedk import (
+    Commutator,
+    Compose,
     RationalSymbol,
     RunConfig,
     SamplerProfile,
@@ -17,6 +20,7 @@ from pairedk import (
     run_property,
     run_suite,
     sample_symbol,
+    Transposed,
     trial_rng,
 )
 from pairedk import tolerances as tol
@@ -150,9 +154,17 @@ def test_report_records_the_rank_threshold_it_used():
     assert rep.tolerances["rank_tol"] == 1e-3
 
 
+def test_report_records_every_settable_tolerance():
+    # eps_circle and eps_cluster change answers as eps_eq and rank_tol do
+    with tol.configured(eps_cluster=1e-6):
+        rep = run_property("P_ZERO", 1, 0)
+    assert rep.tolerances["eps_cluster"] == 1e-6
+    assert rep.tolerances["eps_circle"] == tol.EPS_CIRCLE
+    assert set(tol.SETTABLE) <= set(rep.to_json()["tolerances"])
+
+
 def test_a_failed_certificate_fails_its_trial_instead_of_skipping_it(monkeypatch):
-    # P_COBURN_SIG skips degenerate pairs by their PairedKError; a failed
-    # self-check is also a PairedKError, and must stay a failure
+    # a failed self-check is a PairedKError, and must stay a failure
     def failing(pair):
         raise CertificateFailed("constructed transposed kernel element fails verification")
 
@@ -160,6 +172,90 @@ def test_a_failed_certificate_fails_its_trial_instead_of_skipping_it(monkeypatch
     ok, detail = props._run_single("P_COBURN_SIG", 0, RunConfig(), tol.current(), 0)
     assert not ok
     assert detail == {"error": "CertificateFailed: constructed transposed kernel element fails verification"}
+
+
+# ---------------------------------------------------- negative controls
+#
+# Each shared check is made to fail by perturbing a library computation it
+# reads, never the check itself; every property using the check must then
+# fail with its own reason.
+
+
+def _trial(pid, index=0):
+    return props._run_single(pid, 0, RunConfig(), tol.current(), index)
+
+
+def _shift_images(monkeypatch, kinds, extra):
+    """``apply_exact``, as the properties read it, adds ``extra`` to the
+    image of every node of the given kinds."""
+    exact = props.apply_exact
+
+    def apply(node, f):
+        out = exact(node, f)
+        return out + extra if isinstance(node, kinds) else out
+
+    monkeypatch.setattr(props, "apply_exact", apply)
+
+
+@pytest.mark.parametrize("pid", ["P_PRODRES", "P_COMMEXP", "P_EQUIV"])
+def test_identity_verdict_sees_a_composed_image_off_by_1e_6(monkeypatch, pid):
+    _shift_images(monkeypatch, (Compose, Commutator), R.monomial(-1, 1e-6))
+    ok, detail = _trial(pid)
+    assert not ok and detail["max_residual"] > tol.IDENTITY_RESIDUAL
+
+
+def test_identity_residual_sees_a_rank_one_action_or_a_kernel_element_off_by_1e_6(monkeypatch):
+    # the residual P_RANK1 and P_RH compare their identities by, apart from
+    # the three identities above
+    with monkeypatch.context() as m:
+        _shift_images(m, Commutator, R.monomial(-1, 1e-6))
+        assert _trial("P_RANK1") == (False, {"reason": "paired commutator action mismatch"})
+    kernel = props.paired_kernel
+
+    def moved(pair):
+        kb = kernel(pair)
+        elements = tuple(dataclasses.replace(el, minus=el.minus * (1 + 1e-6)) for el in kb.elements)
+        return dataclasses.replace(kb, elements=elements)
+
+    monkeypatch.setattr(props, "paired_kernel", moved)
+    ok, detail = _trial("P_RH")
+    assert not ok and detail["reason"] == "Riemann-Hilbert identity residual"
+    assert detail["residual"] > tol.IDENTITY_RESIDUAL
+
+
+@pytest.mark.parametrize("pid", ["P_KERCOMM_S", "P_KERCOMM_SIG"])
+def test_kercomm_verdict_sees_a_commutator_that_does_not_vanish(monkeypatch, pid):
+    _shift_images(monkeypatch, Commutator, R.monomial(-1, 1e-6))
+    # the witness meets the projection conditions, yet its image is 1e-6 z^-1
+    assert _trial(pid) == (False, {"reason": "equivalence mismatch", "vanishes": False, "conds": True})
+
+
+@pytest.mark.parametrize(
+    "pid, case", [("P_COMMUTANT", "multiplication operators failed to commute"), ("P_CONSTCOMM", "constant failed to commute")]
+)
+def test_commutation_on_probes_sees_a_commutator_that_does_not_vanish(monkeypatch, pid, case):
+    _shift_images(monkeypatch, Commutator, R.monomial(-1, 1e-6))
+    assert _trial(pid) == (False, {"case": case})
+
+
+@pytest.mark.parametrize(
+    "pid, reason", [("P_INV", "image left the invariant kernel"), ("P_MODELINV", "model space not invariant")]
+)
+def test_split_invariance_sees_an_image_leave_the_kernel(monkeypatch, pid, reason):
+    # psi + 1/z is in no transposed kernel of these pairs: P-(b/z) = b(0)/z
+    # with b(0) != 0
+    _shift_images(monkeypatch, Transposed, R.monomial(-1))
+    assert _trial(pid) == (False, {"reason": reason})
+
+
+@pytest.mark.parametrize("pid, reason", [("P_NONTRIV_S", "decision mismatch"), ("P_NONTRIV_SIG", "regular decision mismatch")])
+def test_winding_pair_sees_a_quotient_that_winds_once_more(monkeypatch, pid, reason):
+    draw = props.sample_quotient_with_winding
+    monkeypatch.setattr(props, "sample_quotient_with_winding", lambda prof, rng, kappa: draw(prof, rng, kappa) / R.monomial(1))
+    # a trial that asks for winding 0 gets -1: a nontrivial kernel
+    index = next(i for i in range(64) if trial_rng(0, i).integers(-3, 3) == 0)
+    ok, detail = _trial(pid, index)
+    assert not ok and detail["reason"] == reason and detail["kappa"] == 0
 
 
 # ---------------------------------------------------------------- hypothesis
