@@ -1,9 +1,12 @@
-"""Sparse Laurent polynomials sum_k c_k z^k with complex coefficients.
+"""Laurent polynomials sum_k c_k z^k with complex coefficients.
 
 These are the exact building blocks: every rational function on the circle
-is a quotient of two of them.  Instances are immutable and hashable by
-identity; all arithmetic returns fresh objects, and ``from_roots`` may return
-a shared one.
+is a quotient of two of them.  A polynomial is stored as one block, its
+lowest exponent and the tuple of its coefficients in ascending exponent
+order, so every sum, product and window runs over the coefficients in
+ascending order, whatever order a caller listed them in.  Instances are
+immutable and hashable by identity; all arithmetic returns fresh objects,
+and ``from_roots`` may return a shared one.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -26,36 +29,45 @@ MEMO_SIZE = 256
 
 
 class LaurentPoly:
-    """Finite Laurent polynomial stored as {exponent: coefficient}.
+    """Finite Laurent polynomial stored as its lowest exponent and the
+    ascending tuple of its coefficients up to the highest, both ends
+    nonzero.
 
     Coefficients of modulus <= EPS_DROP * scale are pruned, where scale is
     the largest coefficient magnitude (or an explicit, larger reference
-    supplied by cancellation-aware callers).  The zero polynomial is the one
-    with an empty map.  The largest kept magnitude is recorded once, as
-    ``norm_inf()``, and so are the ends of the support, ``lo`` and ``hi``.
+    supplied by cancellation-aware callers); a pruned coefficient inside the
+    block is held as ``0j``, and ``items()`` and products skip it.  The zero
+    polynomial is the one with an empty block.  The largest kept magnitude
+    is recorded once, as ``norm_inf()``.
     """
 
-    __slots__ = ("_c", "_norm", "_lo", "_hi")
+    __slots__ = ("_lo", "_c", "_norm")
 
     def __init__(self, coeffs: Mapping[int, complex] | None = None, *, scale: float = 0.0):
-        c: Dict[int, complex] = {}
-        cmax = 0.0
-        if coeffs:
-            mods = [abs(v) for v in coeffs.values()]
-            cmax = max(mods)
-            # NaN and inf make the sum non-finite; so can finite moduli whose
-            # sum overflows, which only the per-coefficient check tells apart
-            if not math.isfinite(sum(mods)) and not all(map(cmath.isfinite, coeffs.values())):
-                raise ValueError("non-finite coefficient")
-            thr = tol.EPS_DROP * max(cmax, scale)
-            for (k, v), av in zip(coeffs.items(), mods):
-                if av > thr:
-                    c[int(k)] = complex(v)
-        self._c = c
-        self._norm = float(cmax) if c else 0.0
-        self._lo, self._hi = (min(c), max(c)) if c else (0, 0)
-        if self._hi - self._lo > _SPAN_LIMIT:
-            raise DegreeOverflow(f"Laurent support span {self._hi - self._lo} exceeds limit")
+        vals = list((coeffs or {}).values())
+        mods, thr, self._norm = _pruned(vals, scale)
+        # laid out over the kept exponents only: a pruned far-off entry does
+        # not size the block
+        kept = {int(k): complex(v) for k, v, m in zip(coeffs or (), vals, mods) if m > thr}
+        lo, hi = min(kept, default=0), max(kept, default=-1)
+        _span(hi - lo)
+        self._lo, self._c = lo, tuple(kept.get(k, 0j) for k in range(lo, hi + 1))
+
+    @classmethod
+    def _block(cls, lo: int, vals: Sequence[complex], scale: float = 0.0) -> "LaurentPoly":
+        """The polynomial with the Python scalars ``vals`` as coefficients on
+        [lo, lo + len(vals)), pruned and trimmed in one pass."""
+        out = cls.__new__(cls)
+        mods, thr, out._norm = _pruned(vals, scale)
+        if min(mods, default=0.0) > thr:  # nothing to prune, the common case
+            out._lo, out._c = lo, tuple(vals)
+        else:
+            keep = [m > thr for m in mods]
+            first, stop = (keep.index(True), len(keep) - keep[::-1].index(True)) if out._norm else (0, 0)
+            out._lo = lo + first if out._norm else 0
+            out._c = tuple(v if k else 0j for v, k in zip(vals[first:stop], keep[first:stop]))
+        _span(len(out._c) - 1)
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -92,112 +104,119 @@ class LaurentPoly:
     def hi(self) -> int:
         if not self._c:
             raise ValueError("zero polynomial has no support")
-        return self._hi
+        return self._lo + len(self._c) - 1
 
     def coeff(self, k: int) -> complex:
-        return self._c.get(k, 0.0 + 0.0j)
+        i = k - self._lo
+        return self._c[i] if 0 <= i < len(self._c) else 0j
 
-    def items(self):
-        return self._c.items()
+    def items(self) -> List[Tuple[int, complex]]:
+        """(exponent, coefficient) of every kept coefficient, ascending."""
+        return [(k, v) for k, v in enumerate(self._c, self._lo) if v]
 
-    def support(self):
-        return sorted(self._c)
+    def support(self) -> List[int]:
+        return [k for k, v in enumerate(self._c, self._lo) if v]
 
     def norm_inf(self) -> float:
         return self._norm
 
     # -- arithmetic ---------------------------------------------------
 
+    def _sum(self, other: "LaurentPoly", sub: bool) -> "LaurentPoly":
+        """self + other or self - other: a coefficient of self alone is
+        kept as it is, and other's are added to it, or to 0.0."""
+        terms = [p for p in (self, other) if p._c]
+        lo = min((p._lo for p in terms), default=0)
+        vals: List[complex] = [0.0] * (max((p._lo + len(p._c) for p in terms), default=0) - lo)
+        for i, v in enumerate(self._c, self._lo - lo):
+            if v:
+                vals[i] = v
+        for i, v in enumerate(other._c, other._lo - lo):
+            if v:
+                vals[i] = vals[i] - v if sub else vals[i] + v
+        return LaurentPoly._block(lo, vals, max(self._norm, other._norm))
+
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        c = dict(self._c)
-        for k, v in other._c.items():
-            c[k] = c.get(k, 0.0) + v
-        return LaurentPoly(c, scale=max(self.norm_inf(), other.norm_inf()))
+        return self._sum(other, False)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        c = dict(self._c)
-        for k, v in other._c.items():
-            c[k] = c.get(k, 0.0) - v
-        return LaurentPoly(c, scale=max(self.norm_inf(), other.norm_inf()))
+        return self._sum(other, True)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({k: -v for k, v in self._c.items()})
+        return LaurentPoly._block(self._lo, [-v for v in self._c])
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if self.is_zero or other.is_zero:
-            return LaurentPoly()
-        c: Dict[int, complex] = {}
-        for k1, v1 in self._c.items():
-            for k2, v2 in other._c.items():
-                k = k1 + k2
-                c[k] = c.get(k, 0.0) + v1 * v2
-        return LaurentPoly(c, scale=self.norm_inf() * other.norm_inf())
+        vals: List[complex] = [0.0] * (len(self._c) + len(other._c) - 1)
+        right = [(j, v) for j, v in enumerate(other._c) if v]
+        for i, v1 in enumerate(self._c):
+            if v1:
+                for j, v2 in right:
+                    vals[i + j] += v1 * v2
+        return LaurentPoly._block(self._lo + other._lo, vals, self._norm * other._norm)
 
     def scale(self, a: complex) -> "LaurentPoly":
         a = complex(a)
-        if a == 0:
-            return LaurentPoly()
-        return LaurentPoly({k: a * v for k, v in self._c.items()})
+        return LaurentPoly._block(self._lo, [a * v for v in self._c])
 
     def shift(self, n: int) -> "LaurentPoly":
         """Multiply by z^n (exact index shift)."""
-        return LaurentPoly({k + n: v for k, v in self._c.items()})
+        return LaurentPoly._block(self._lo + n, self._c)
 
     def conj_reflect(self) -> "LaurentPoly":
         """The polynomial z -> conj(p(z)) for |z| = 1: negate indices, conjugate."""
-        return LaurentPoly({-k: v.conjugate() for k, v in self._c.items()})
+        return LaurentPoly._block(1 - self._lo - len(self._c), [v.conjugate() for v in reversed(self._c)])
 
     # -- evaluation / conversion ---------------------------------------
 
     def eval(self, z: complex) -> complex:
         """Evaluate by Horner in z over k >= 0 plus Horner in 1/z over k < 0;
         z may be a scalar or a numpy array of points."""
-        if not self._c:
-            return 0.0 + 0.0j
         pos = 0.0 + 0.0j
-        if self.hi >= 0:
-            for k in range(self.hi, -1, -1):
-                pos = pos * z + self._c.get(k, 0.0)
+        for k in range(self._lo + len(self._c) - 1, -1, -1):
+            pos = pos * z + self.coeff(k)
         neg = 0.0 + 0.0j
-        if self.lo < 0:
+        if self._lo < 0:
             w = 1.0 / z
-            for k in range(self.lo, 0):
-                neg = neg * w + self._c.get(k, 0.0)
+            for k in range(self._lo, 0):
+                neg = neg * w + self.coeff(k)
             neg = neg * w
         return pos + neg
 
     def to_array(self) -> Tuple[int, np.ndarray]:
         """Return (lo, ascending coefficient array) for the support block."""
-        if self.is_zero:
-            return 0, np.zeros(0, dtype=complex)
-        lo, hi = self.lo, self.hi
-        arr = np.zeros(hi - lo + 1, dtype=complex)
-        for k, v in self._c.items():
-            arr[k - lo] = v
-        return lo, arr
+        return self._lo, np.array(self._c, dtype=complex)
 
     @classmethod
     def from_array(cls, lo: int, arr: np.ndarray) -> "LaurentPoly":
-        return cls(dict(enumerate(np.asarray(arr, dtype=complex).tolist(), lo)))
+        return cls._block(lo, np.asarray(arr, dtype=complex).tolist())
 
     def degree_span(self) -> int:
-        return 0 if self.is_zero else self.hi - self.lo
+        return max(len(self._c) - 1, 0)
 
     # -- misc -----------------------------------------------------------
 
     def __repr__(self) -> str:
-        if self.is_zero:
-            return "LaurentPoly(0)"
-        parts = []
-        for k in self.support():
-            v = self._c[k]
-            if k == 0:
-                parts.append(f"({v:.4g})")
-            elif k > 0:
-                parts.append(f"({v:.4g})z^{k}")
-            else:
-                parts.append(f"({v:.4g})z^{k}")
-        return "LaurentPoly(" + " + ".join(parts) + ")"
+        parts = [f"({v:.4g})" + (f"z^{k}" if k else "") for k, v in self.items()]
+        return "LaurentPoly(" + (" + ".join(parts) or "0") + ")"
+
+
+def _pruned(vals: Sequence[complex], scale: float) -> Tuple[List[float], float, float]:
+    """(moduli, pruning threshold, norm) of ``vals``: the norm is the largest
+    modulus, or 0.0 where every coefficient is pruned.  Raises on a
+    non-finite coefficient."""
+    mods = list(map(abs, vals))
+    cmax = max(mods, default=0.0)
+    # NaN and inf make the sum non-finite; so can finite moduli whose sum
+    # overflows, which only the per-coefficient check tells apart
+    if not math.isfinite(sum(mods)) and not all(map(cmath.isfinite, vals)):
+        raise ValueError("non-finite coefficient")
+    thr = tol.EPS_DROP * max(cmax, scale)
+    return mods, thr, float(cmax) if cmax > thr else 0.0
+
+
+def _span(span: int) -> None:
+    if span > _SPAN_LIMIT:
+        raise DegreeOverflow(f"Laurent support span {span} exceeds limit")
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)

@@ -657,10 +657,8 @@ def _p_sigma_struct(rng, cfg):
             return False, {"reason": "b*psi leaves the Toeplitz kernel"}
     # reflected model space identity: ker(P+ conj(h+) + P- theta) = conj(z K_theta)
     h_plus = sample_symbol(GENERIC.tighter(class_constraint="outer", degree_bound=2), rng)
-    theta = sample_symbol(GENERIC.tighter(class_constraint="inner", degree_bound=2), rng)
+    theta = _nonconstant_inner(rng, 2)
     dim_theta = theta.zpow + theta.zeros_at(LOC_IN)
-    if dim_theta == 0:
-        return True, {"skipped": "constant inner sample"}
     refl_pair = SymbolPair(h_plus.conj_circle(), theta)
     kb2 = transposed_kernel(refl_pair)
     if kb2.status != "exact" or kb2.dimension != dim_theta:

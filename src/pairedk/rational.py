@@ -6,6 +6,10 @@ factored form is authoritative; coefficient caches, partial fractions, Fourier
 coefficients and Riesz projections are derived from it.  Every value is
 immutable after construction and every operation is a pure function.
 
+Coefficient caches are ``LaurentPoly`` blocks, and only ``laurent`` knows
+their layout: every sum over their coefficients runs in ascending exponent
+order, however a caller listed them.
+
 Zeros are derived lazily.  ``from_fraction`` keeps its deflated numerator
 and a product keeps its two factors' zeros; the zeros are located (by
 ``poly_roots``) and merged on first read, with the same calls and the same
@@ -270,10 +274,8 @@ class RationalSymbol:
         sym = cls(gain, zpow, zeros, kept_poles + list(held))
         # exact coefficient caches from the caller's data, deflation included;
         # where nothing cancelled and den is monic from z^0 they are num and
-        # den themselves, provided both run in ascending exponent order, the
-        # order in which the arrays would rebuild them (and in which products
-        # and Fourier windows sum their coefficients)
-        if p_arr is n_arr and d_lead == 1 and d_lo == 0 and _ascending(num) and _ascending(den):
+        # den themselves
+        if p_arr is n_arr and d_lead == 1 and d_lo == 0:
             sym._num, sym._den = num, den
         else:
             sym._num = LaurentPoly.from_array(zpow, p_arr / d_lead)
@@ -368,12 +370,11 @@ class RationalSymbol:
         num_prod = self.num * other.num
         den_prod = self.den * other.den
         lo, arr = num_prod.to_array()
-        arr, d_arr, poles, cancelled = _cancel_poles(
-            arr, _asc_from_zero(den_prod), poles, lambda: self.zeros + other.zeros
-        )
+        d_lo, d_arr = den_prod.to_array()
+        arr, d_arr, poles, cancelled = _cancel_poles(arr, d_arr, poles, lambda: self.zeros + other.zeros)
         if cancelled:
             num_prod = LaurentPoly.from_array(lo, arr)
-            den_prod = LaurentPoly.from_array(0, d_arr)
+            den_prod = LaurentPoly.from_array(d_lo, d_arr)
             # each zero loses one unit per cancelled pole beside it, up to its
             # multiplicity; a cancelled pole is matched to one zero only
             kept_zeros: List[Root] = []
@@ -429,9 +430,7 @@ class RationalSymbol:
         a, b = (_over_union(s.num, have, union) for s, have in ((self, mine), (other, theirs)))
         scale = a.norm_inf() + b.norm_inf()
         csum: Dict[int, complex] = {}
-        for k, v in a.items():
-            csum[k] = csum.get(k, 0.0) + v
-        for k, v in b.items():
+        for k, v in a.items() + b.items():
             csum[k] = csum.get(k, 0.0) + v
         num = LaurentPoly(csum, scale=scale)
         if num.is_zero or num.norm_inf() <= tol.EPS_EQ * scale:
@@ -541,9 +540,8 @@ class RationalSymbol:
             out_vals: List[complex] = []
             for r in self.poles:
                 (in_vals if r.loc == LOC_IN else out_vals).extend([r.value] * r.mult)
-            d_in = _asc_from_zero(LaurentPoly.from_roots(in_vals))
-            d_out = _asc_from_zero(LaurentPoly.from_roots(out_vals))
-            self._invden = _split(len(in_vals), d_in.tobytes(), len(out_vals), d_out.tobytes())
+            d_in, d_out = (LaurentPoly.from_roots(vals).to_array()[1].tobytes() for vals in (in_vals, out_vals))
+            self._invden = _split(len(in_vals), d_in, len(out_vals), d_out)
         return self._invden
 
     def fourier_range(self, lo: int, hi: int) -> np.ndarray:
@@ -723,11 +721,7 @@ class RationalSymbol:
         if self.is_zero:
             return {"coeffs": {}}
         if not self.poles:
-            return {
-                "coeffs": {
-                    str(k): [float(v.real), float(v.imag)] for k, v in sorted(self.num.items())
-                }
-            }
+            return {"coeffs": {str(k): [float(v.real), float(v.imag)] for k, v in self.num.items()}}
         return {
             "gain": [float(self.gain.real), float(self.gain.imag)],
             "zpow": self.zpow,
@@ -837,14 +831,16 @@ class _Split:
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def _split(n_in: int, d_in_key: bytes, n_out: int, d_out_key: bytes) -> _Split:
     """The split of 1/(D_in D_out) for the monic D_in and D_out of degrees
-    n_in and n_out whose ascending coefficient arrays have the bytes
+    n_in and n_out whose ``LaurentPoly.to_array`` blocks have the bytes
     d_in_key and d_out_key.  These are all the Bezout solve reads, and it
     reads no tolerance, so one pole set's split is solved once while it
     stays among the MEMO_SIZE most recent; a raising solve is not stored.
     Without the memo the identities workload took about 1.18x as long.
     A symbol without poles splits as B = 1 over D_out = 1."""
-    d_in = np.frombuffer(d_in_key, dtype=complex)
-    d_out = np.frombuffer(d_out_key, dtype=complex)
+    # a pole within rounding of 0 prunes the constant term of its expansion;
+    # each factor is padded back to its degree
+    d_in, d_out = (np.frombuffer(key, dtype=complex) for key in (d_in_key, d_out_key))
+    d_in, d_out = (np.pad(d, (n + 1 - len(d), 0)) for d, n in ((d_in, n_in), (d_out, n_out)))
     if n_in == 0:
         a_arr = np.zeros(0, dtype=complex)
         b_arr = np.zeros(max(n_out, 1), dtype=complex)
@@ -908,24 +904,6 @@ def _cancel_poles(num_arr: np.ndarray, den_arr: np.ndarray, poles: Iterable[Root
     for v in cancelled:
         den_arr = _deflate_root(den_arr, v)
     return num_arr, den_arr, kept, cancelled
-
-
-def _ascending(lp: LaurentPoly) -> bool:
-    """Whether lp's coefficients are stored in ascending exponent order."""
-    ks = [k for k, _ in lp.items()]
-    return all(j < k for j, k in zip(ks, ks[1:]))
-
-
-def _asc_from_zero(lp: LaurentPoly) -> np.ndarray:
-    """Ascending coefficient array indexed from 0 (requires lo >= 0)."""
-    if lp.is_zero:
-        return np.zeros(1, dtype=complex)
-    if lp.lo < 0:
-        raise ValueError("negative support where an ordinary polynomial was expected")
-    arr = np.zeros(lp.hi + 1, dtype=complex)
-    for k, val in lp.items():
-        arr[k] = val
-    return arr
 
 
 def _horner_asc(arr: Sequence[complex], v: complex) -> Tuple[complex, float]:

@@ -1,7 +1,11 @@
+import cmath
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pairedk import LaurentPoly
+from pairedk import LaurentPoly, RationalSymbol
 from pairedk.errors import DegreeOverflow
 
 
@@ -36,6 +40,15 @@ def test_scale_and_sub():
     f = LP({0: 2, 3: -1})
     assert dict(f.scale(0.5).items()) == {0: 1, 3: -0.5}
     assert (f - f).is_zero
+
+
+def test_a_pruned_coefficient_inside_the_block_is_held_as_positive_zero():
+    f = LP({0: 2, 3: -1j})
+    for g in (f, -f, f.conj_reflect(), f.scale(-1)):
+        block = g.to_array()[1]
+        assert block[1:3].tobytes() == np.zeros(2, dtype=complex).tobytes()
+    assert dict((-f).items()) == {0: -2, 3: 1j} and repr(-f) == "LaurentPoly((-2-0j) + (0+1j)z^3)"
+    assert repr(LaurentPoly()) == "LaurentPoly(0)"
 
 
 def test_support_bounds_and_norms():
@@ -105,3 +118,30 @@ def test_norm_inf_is_the_largest_kept_modulus():
     assert f.norm_inf() == 5.0 and 2 not in dict(f.items())
     assert LaurentPoly({0: 1.0}, scale=1e20).norm_inf() == 0.0
     assert LaurentPoly().norm_inf() == 0.0
+
+
+coefficients = st.one_of(st.just(0j), st.builds(cmath.rect, st.floats(0.1, 1.0), st.floats(-3.1, 3.1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(coefficients, min_size=8, max_size=8),
+    st.integers(-4, 4),
+    st.permutations(range(8)),
+    st.lists(coefficients, min_size=1, max_size=8),
+)
+def test_no_result_depends_on_the_order_coefficients_were_listed(vals, lo, order, other):
+    # the same coefficients listed in ascending order, in any other order,
+    # and reflected twice give the same bits in every result built on them
+    ascending = {lo + i: v for i, v in enumerate(vals)}
+    q = LaurentPoly(dict(enumerate(other, -2)))
+    den = LaurentPoly.from_roots([0.4 + 0.2j, -2.5])
+
+    def results(p):
+        lo, block = p.to_array()
+        window = RationalSymbol.from_fraction(p, den).fourier_range(-12, 12)
+        return lo, block.tobytes(), (p * q).to_array()[1].tobytes(), (q * p).to_array()[1].tobytes(), window.tobytes()
+
+    listed = LaurentPoly({lo + i: vals[i] for i in order})
+    forms = (LaurentPoly(ascending), listed, LaurentPoly(ascending).conj_reflect().conj_reflect())
+    assert len({results(p) for p in forms}) == 1

@@ -141,7 +141,7 @@ def test_split_factors_are_the_expansions_of_each_sides_poles():
             poly, arr = (split.den_in, split.d_in) if side == LOC_IN else (split.den_out, split.d_out)
             assert bits(poly) == bits(want) and poly.norm_inf() == want.norm_inf()
             assert (poly.lo, poly.hi) == (0, len(roots))
-            assert arr.tobytes() == rational._asc_from_zero(want).tobytes() and not arr.flags.writeable
+            assert arr.tobytes() == want.to_array()[1].tobytes() and not arr.flags.writeable
 
 
 def test_memos_stay_within_their_bound():

@@ -295,3 +295,9 @@ def test_fourier_matches_map_lookup(f, k):
     # for Laurent polynomials the coefficient is a direct dictionary lookup
     want = f.num.coeff(k) if not f.is_zero else 0.0
     assert abs(f.fourier(k) - want) <= 1e-11 * max(1.0, f.num.norm_inf() if not f.is_zero else 1.0)
+
+
+def test_sigma_struct_checks_the_reflected_model_space_of_a_constant_inner_draw():
+    # trial 32 of seed 0 is the first whose inner draw is constant; it is
+    # multiplied by z, as P_INV and P_MODELINV do, and checked, not skipped
+    assert _trial("P_SIGMA_STRUCT", 32) == (True, {})
