@@ -182,9 +182,14 @@ class LaurentPoly:
             neg = neg * w
         return pos + neg
 
-    def to_array(self) -> Tuple[int, np.ndarray]:
-        """Return (lo, ascending coefficient array) for the support block."""
-        return self._lo, np.array(self._c, dtype=complex)
+    def to_array(self, start: int | None = None) -> Tuple[int, np.ndarray]:
+        """Return (lo, ascending coefficient array) for the support block, or
+        the block from z^start, zero below lo: the view from 0 keeps the
+        degree of a polynomial whose constant term was pruned."""
+        start = self._lo if start is None else start
+        if start > self._lo and self._c:
+            raise ValueError(f"support starts at z^{self._lo}, below z^{start}")
+        return start, np.array((0j,) * (self._lo - start) + self._c, dtype=complex)
 
     @classmethod
     def from_array(cls, lo: int, arr: np.ndarray) -> "LaurentPoly":

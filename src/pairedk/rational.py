@@ -370,11 +370,11 @@ class RationalSymbol:
         num_prod = self.num * other.num
         den_prod = self.den * other.den
         lo, arr = num_prod.to_array()
-        d_lo, d_arr = den_prod.to_array()
+        _, d_arr = den_prod.to_array(0)
         arr, d_arr, poles, cancelled = _cancel_poles(arr, d_arr, poles, lambda: self.zeros + other.zeros)
         if cancelled:
             num_prod = LaurentPoly.from_array(lo, arr)
-            den_prod = LaurentPoly.from_array(d_lo, d_arr)
+            den_prod = LaurentPoly.from_array(0, d_arr)
             # each zero loses one unit per cancelled pole beside it, up to its
             # multiplicity; a cancelled pole is matched to one zero only
             kept_zeros: List[Root] = []
@@ -540,7 +540,7 @@ class RationalSymbol:
             out_vals: List[complex] = []
             for r in self.poles:
                 (in_vals if r.loc == LOC_IN else out_vals).extend([r.value] * r.mult)
-            d_in, d_out = (LaurentPoly.from_roots(vals).to_array()[1].tobytes() for vals in (in_vals, out_vals))
+            d_in, d_out = (LaurentPoly.from_roots(vals).to_array(0)[1].tobytes() for vals in (in_vals, out_vals))
             self._invden = _split(len(in_vals), d_in, len(out_vals), d_out)
         return self._invden
 
@@ -831,16 +831,13 @@ class _Split:
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def _split(n_in: int, d_in_key: bytes, n_out: int, d_out_key: bytes) -> _Split:
     """The split of 1/(D_in D_out) for the monic D_in and D_out of degrees
-    n_in and n_out whose ``LaurentPoly.to_array`` blocks have the bytes
-    d_in_key and d_out_key.  These are all the Bezout solve reads, and it
+    n_in and n_out whose ascending coefficient arrays from z^0 have the
+    bytes d_in_key and d_out_key.  These are all the Bezout solve reads, and it
     reads no tolerance, so one pole set's split is solved once while it
     stays among the MEMO_SIZE most recent; a raising solve is not stored.
     Without the memo the identities workload took about 1.18x as long.
     A symbol without poles splits as B = 1 over D_out = 1."""
-    # a pole within rounding of 0 prunes the constant term of its expansion;
-    # each factor is padded back to its degree
     d_in, d_out = (np.frombuffer(key, dtype=complex) for key in (d_in_key, d_out_key))
-    d_in, d_out = (np.pad(d, (n + 1 - len(d), 0)) for d, n in ((d_in, n_in), (d_out, n_out)))
     if n_in == 0:
         a_arr = np.zeros(0, dtype=complex)
         b_arr = np.zeros(max(n_out, 1), dtype=complex)

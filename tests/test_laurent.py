@@ -145,3 +145,15 @@ def test_no_result_depends_on_the_order_coefficients_were_listed(vals, lo, order
     listed = LaurentPoly({lo + i: vals[i] for i in order})
     forms = (LaurentPoly(ascending), listed, LaurentPoly(ascending).conj_reflect().conj_reflect())
     assert len({results(p) for p in forms}) == 1
+
+
+def test_to_array_from_a_start_pads_below_the_block():
+    # a root within rounding of 0 prunes the constant term; the view from
+    # z^0 keeps the degree
+    p = LaurentPoly.from_roots([1e-7, 1e-7])
+    assert p.lo == 1
+    lo, arr = p.to_array(0)
+    assert lo == 0 and arr.tolist() == [0j, -2e-7 + 0j, 1 + 0j]
+    assert p.to_array(1)[1].tolist() == p.to_array()[1].tolist()
+    with pytest.raises(ValueError):
+        p.to_array(2)

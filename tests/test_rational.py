@@ -761,6 +761,16 @@ def test_from_fraction_caches_equal_the_array_path(monkeypatch):
     assert any(kept) and not all(kept) and kept[-2:] == [False, False]
 
 
+def test_a_product_cancels_a_pole_within_rounding_of_zero():
+    # the double pole's expansion z^2 - 2e-7 z loses its constant 1e-14 to
+    # pruning; the cancellation must still deflate the denominator from z^0
+    s = R.from_zpk(1, 0, [Root(1e-7, 1, "in")], [Root(1e-7, 2, "in")])
+    assert [(p.value, p.mult) for p in s.poles] == [(1e-7, 1)]
+    assert _bits(s.den) == _bits(LaurentPoly({0: -1e-7, 1: 1.0}))
+    assert s.reciprocal().fourier(0) == -1e-7
+    assert s.conj_circle().equals(R(-1e7, 1, (), [Root(1e7, 1, "out")]))
+
+
 def test_value_test_bits_do_not_depend_on_the_scalar_type():
     # _cancel_poles runs its Horner loops on Python complex numbers; numpy
     # scalars, which the loops once read, give the same bits
