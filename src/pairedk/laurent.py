@@ -2,11 +2,13 @@
 
 These are the exact building blocks: every rational function on the circle
 is a quotient of two of them.  A polynomial is stored as one block, its
-lowest exponent and the tuple of its coefficients in ascending exponent
+lowest exponent and the list of its coefficients in ascending exponent
 order, so every sum, product and window runs over the coefficients in
-ascending order, whatever order a caller listed them in.  Instances are
-immutable and hashable by identity; all arithmetic returns fresh objects,
-and ``from_roots`` may return a shared one.
+ascending order, whatever order a caller listed them in.  Only this module
+builds a block, and none is changed after construction: a result keeps the
+list its arithmetic built, and ``shift`` shares its operand's.  Instances
+are immutable and hashable by identity; all arithmetic returns fresh
+objects, and ``from_roots`` may return a shared one.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ MEMO_SIZE = 256
 
 class LaurentPoly:
     """Finite Laurent polynomial stored as its lowest exponent and the
-    ascending tuple of its coefficients up to the highest, both ends
-    nonzero.
+    ascending list of its coefficients up to the highest, both ends
+    nonzero; the list is private and never changed once built.
 
     Coefficients of modulus <= EPS_DROP * scale are pruned, where scale is
     the largest coefficient magnitude (or an explicit, larger reference
@@ -51,21 +53,23 @@ class LaurentPoly:
         kept = {int(k): complex(v) for k, v, m in zip(coeffs or (), vals, mods) if m > thr}
         lo, hi = min(kept, default=0), max(kept, default=-1)
         _span(hi - lo)
-        self._lo, self._c = lo, tuple(kept.get(k, 0j) for k in range(lo, hi + 1))
+        self._lo, self._c = lo, [kept.get(k, 0j) for k in range(lo, hi + 1)]
 
     @classmethod
-    def _block(cls, lo: int, vals: Sequence[complex], scale: float = 0.0) -> "LaurentPoly":
+    def _block(cls, lo: int, vals: List[complex], scale: float = 0.0) -> "LaurentPoly":
         """The polynomial with the Python scalars ``vals`` as coefficients on
-        [lo, lo + len(vals)), pruned and trimmed in one pass."""
+        [lo, lo + len(vals)), pruned and trimmed in one pass.  Where nothing
+        is pruned the result keeps ``vals`` itself, so a caller passes a list
+        that nothing changes afterwards."""
         out = cls.__new__(cls)
         mods, thr, out._norm = _pruned(vals, scale)
         if min(mods, default=0.0) > thr:  # nothing to prune, the common case
-            out._lo, out._c = lo, tuple(vals)
+            out._lo, out._c = lo, vals
         else:
             keep = [m > thr for m in mods]
             first, stop = (keep.index(True), len(keep) - keep[::-1].index(True)) if out._norm else (0, 0)
             out._lo = lo + first if out._norm else 0
-            out._c = tuple(v if k else 0j for v, k in zip(vals[first:stop], keep[first:stop]))
+            out._c = [v if k else 0j for v, k in zip(vals[first:stop], keep[first:stop])]
         _span(len(out._c) - 1)
         return out
 
@@ -186,10 +190,14 @@ class LaurentPoly:
         """Return (lo, ascending coefficient array) for the support block, or
         the block from z^start, zero below lo: the view from 0 keeps the
         degree of a polynomial whose constant term was pruned."""
-        start = self._lo if start is None else start
+        if start is None or start == self._lo:
+            return self._lo, np.array(self._c, dtype=complex)
         if start > self._lo and self._c:
             raise ValueError(f"support starts at z^{self._lo}, below z^{start}")
-        return start, np.array((0j,) * (self._lo - start) + self._c, dtype=complex)
+        pad = max(self._lo - start, 0)
+        arr = np.zeros(pad + len(self._c), dtype=complex)
+        arr[pad:] = self._c
+        return start, arr
 
     @classmethod
     def from_array(cls, lo: int, arr: np.ndarray) -> "LaurentPoly":

@@ -307,7 +307,8 @@ class RationalSymbol:
 
     @property
     def den(self) -> LaurentPoly:
-        """Monic denominator prod (z - p_j)^{n_j}; never vanishes at 0."""
+        """Monic denominator prod (z - p_j)^{n_j}.  Its constant term is 0
+        only where pruning dropped it: a pole within rounding of 0."""
         if self._den is None:
             vals: List[complex] = []
             for r in self.poles:
@@ -456,6 +457,12 @@ class RationalSymbol:
         """The function z -> conj(f(z)) on |z| = 1, again rational."""
         if self.is_zero:
             return self
+        den = self.den
+        d0 = den.coeff(0)
+        if d0 == 0:
+            # a pole within rounding of 0 (|p|^m below EPS_DROP) pruned the
+            # constant term the reflection is normalised by
+            raise ZeroDenominator("a pole within rounding of 0 leaves no constant term to reflect by")
         gain = self.gain.conjugate()
         zpow = -self.zpow
         flip = {LOC_IN: LOC_OUT, LOC_OUT: LOC_IN, LOC_ON: LOC_ON}
@@ -473,9 +480,7 @@ class RationalSymbol:
             poles.append(Root(1.0 / v, r.mult, flip[r.loc]))
         out = RationalSymbol(gain, zpow, zeros, poles)
         # exact caches: conj-reflect and re-normalize against the den constant
-        den = self.den
         deg = den.degree_span()
-        d0 = den.coeff(0)
         out._num = self.num.conj_reflect().shift(deg).scale(1.0 / d0.conjugate())
         out._den = den.conj_reflect().shift(deg).scale(1.0 / d0.conjugate())
         return out

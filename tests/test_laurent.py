@@ -157,3 +157,37 @@ def test_to_array_from_a_start_pads_below_the_block():
     assert p.to_array(1)[1].tolist() == p.to_array()[1].tolist()
     with pytest.raises(ValueError):
         p.to_array(2)
+
+
+def _snapshot(p):
+    lo, block = p.to_array()
+    return lo, block.tobytes(), p.norm_inf()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(coefficients, min_size=1, max_size=8),
+    st.lists(coefficients, min_size=1, max_size=8),
+    st.integers(-4, 4),
+    st.lists(st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)), min_size=1, max_size=4),
+    coefficients,
+)
+def test_no_operation_changes_a_block(vals, other, n, roots, a):
+    # a result may keep the list its arithmetic built, and shift shares its
+    # operand's, so no operation may change a block after construction
+    p, q = LaurentPoly(dict(enumerate(vals, -2))), LaurentPoly(dict(enumerate(other, n)))
+    r = LaurentPoly.from_roots(roots)
+    t = p.shift(n)
+    operands = (p, q, r, t)
+    before = [_snapshot(x) for x in operands]
+    results = [p + q, p - q, q - p, p * q, q * p, -p, p.scale(a), p.conj_reflect(), r * p, r + q, r.shift(n)]
+    results += [t + q, t - p, t * q, -t, t.scale(a), t.shift(-n), t.conj_reflect(), t.shift(0)]
+    results.append(LaurentPoly.from_roots(roots))  # the memo's shared result
+    kept = [_snapshot(x) for x in results]
+    for x in operands + tuple(results):
+        start = x.lo - 2 if not x.is_zero else -2
+        for lo in (None, start, start + 2):
+            x.to_array(lo)[1][:] = complex("nan")
+    assert [_snapshot(x) for x in operands] == before
+    assert [_snapshot(x) for x in results] == kept
+    assert _snapshot(LaurentPoly.from_roots(roots)) == before[2]

@@ -771,6 +771,18 @@ def test_a_product_cancels_a_pole_within_rounding_of_zero():
     assert s.conj_circle().equals(R(-1e7, 1, (), [Root(1e7, 1, "out")]))
 
 
+def test_a_pole_within_rounding_of_zero_is_refused_typed():
+    # the double pole's expansion z^2 - 2e-7 z + 1e-14 loses its constant
+    # term to pruning, so conj_circle has nothing to normalise by
+    data = {"gain": [1.0, 0.0], "zpow": 0, "zeros": [], "poles": [{"z": [1e-7, 0.0], "m": 2, "loc": "in"}]}
+    for s in (R(1.0, 0, (), [Root(1e-7, 2, "in")]), R.from_json(data)):
+        assert s.den.coeff(0) == 0
+        with pytest.raises(ZeroDenominator):
+            s.conj_circle()
+        with pytest.raises(ZeroDenominator):
+            s.sup_circle()
+
+
 def test_value_test_bits_do_not_depend_on_the_scalar_type():
     # _cancel_poles runs its Horner loops on Python complex numbers; numpy
     # scalars, which the loops once read, give the same bits
