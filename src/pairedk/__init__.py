@@ -96,13 +96,9 @@ from .properties import (
 from .rational import (
     RationalSymbol,
     SpaceTag,
-    circle_conjugate,
-    fourier_coefficient,
     inner_product,
-    membership,
     probe_points,
     rf_normalize,
-    riesz_project,
 )
 from .roots import Root, RootSet, poly_roots
 from .sampling import SamplerProfile, sample_symbol, trial_rng

@@ -20,7 +20,6 @@ from typing import Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from . import tolerances as tol
 from .errors import DegreeOverflow
 
 MAX_DEGREE = 64
@@ -35,38 +34,37 @@ class LaurentPoly:
     ascending list of its coefficients up to the highest, both ends
     nonzero; the list is private and never changed once built.
 
-    Coefficients of modulus <= EPS_DROP * scale are pruned, where scale is
-    the largest coefficient magnitude (or an explicit, larger reference
-    supplied by cancellation-aware callers); a pruned coefficient inside the
-    block is held as ``0j``, and ``items()`` and products skip it.  The zero
-    polynomial is the one with an empty block.  The largest kept magnitude
-    is recorded once, as ``norm_inf()``.
+    Every nonzero coefficient is kept, however small: only exact zeros are
+    trimmed from the ends, and a zero inside the block is held as ``0j``,
+    which ``items()`` and products skip.  The zero polynomial is the one
+    with an empty block.  The largest magnitude is recorded once, as
+    ``norm_inf()``.
     """
 
     __slots__ = ("_lo", "_c", "_norm")
 
-    def __init__(self, coeffs: Mapping[int, complex] | None = None, *, scale: float = 0.0):
+    def __init__(self, coeffs: Mapping[int, complex] | None = None):
         vals = list((coeffs or {}).values())
-        mods, thr, self._norm = _pruned(vals, scale)
-        # laid out over the kept exponents only: a pruned far-off entry does
+        mods, self._norm = _moduli(vals)
+        # laid out over the nonzero exponents only: a zero far-off entry does
         # not size the block
-        kept = {int(k): complex(v) for k, v, m in zip(coeffs or (), vals, mods) if m > thr}
+        kept = {int(k): complex(v) for k, v, m in zip(coeffs or (), vals, mods) if m}
         lo, hi = min(kept, default=0), max(kept, default=-1)
         _span(hi - lo)
         self._lo, self._c = lo, [kept.get(k, 0j) for k in range(lo, hi + 1)]
 
     @classmethod
-    def _block(cls, lo: int, vals: List[complex], scale: float = 0.0) -> "LaurentPoly":
+    def _block(cls, lo: int, vals: List[complex]) -> "LaurentPoly":
         """The polynomial with the Python scalars ``vals`` as coefficients on
-        [lo, lo + len(vals)), pruned and trimmed in one pass.  Where nothing
-        is pruned the result keeps ``vals`` itself, so a caller passes a list
-        that nothing changes afterwards."""
+        [lo, lo + len(vals)), with exact zeros trimmed from the ends.  Where
+        no coefficient is zero the result keeps ``vals`` itself, so a caller
+        passes a list that nothing changes afterwards."""
         out = cls.__new__(cls)
-        mods, thr, out._norm = _pruned(vals, scale)
-        if min(mods, default=0.0) > thr:  # nothing to prune, the common case
+        mods, out._norm = _moduli(vals)
+        if min(mods, default=0.0) > 0.0:  # no zero, the common case
             out._lo, out._c = lo, vals
         else:
-            keep = [m > thr for m in mods]
+            keep = [m > 0.0 for m in mods]
             first, stop = (keep.index(True), len(keep) - keep[::-1].index(True)) if out._norm else (0, 0)
             out._lo = lo + first if out._norm else 0
             out._c = [v if k else 0j for v, k in zip(vals[first:stop], keep[first:stop])]
@@ -115,7 +113,7 @@ class LaurentPoly:
         return self._c[i] if 0 <= i < len(self._c) else 0j
 
     def items(self) -> List[Tuple[int, complex]]:
-        """(exponent, coefficient) of every kept coefficient, ascending."""
+        """(exponent, coefficient) of every nonzero coefficient, ascending."""
         return [(k, v) for k, v in enumerate(self._c, self._lo) if v]
 
     def support(self) -> List[int]:
@@ -138,7 +136,7 @@ class LaurentPoly:
         for i, v in enumerate(other._c, other._lo - lo):
             if v:
                 vals[i] = vals[i] - v if sub else vals[i] + v
-        return LaurentPoly._block(lo, vals, max(self._norm, other._norm))
+        return LaurentPoly._block(lo, vals)
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self._sum(other, False)
@@ -156,7 +154,7 @@ class LaurentPoly:
             if v1:
                 for j, v2 in right:
                     vals[i + j] += v1 * v2
-        return LaurentPoly._block(self._lo + other._lo, vals, self._norm * other._norm)
+        return LaurentPoly._block(self._lo + other._lo, vals)
 
     def scale(self, a: complex) -> "LaurentPoly":
         a = complex(a)
@@ -189,7 +187,7 @@ class LaurentPoly:
     def to_array(self, start: int | None = None) -> Tuple[int, np.ndarray]:
         """Return (lo, ascending coefficient array) for the support block, or
         the block from z^start, zero below lo: the view from 0 keeps the
-        degree of a polynomial whose constant term was pruned."""
+        degree of a polynomial whose constant term underflowed to 0."""
         if start is None or start == self._lo:
             return self._lo, np.array(self._c, dtype=complex)
         if start > self._lo and self._c:
@@ -213,18 +211,15 @@ class LaurentPoly:
         return "LaurentPoly(" + (" + ".join(parts) or "0") + ")"
 
 
-def _pruned(vals: Sequence[complex], scale: float) -> Tuple[List[float], float, float]:
-    """(moduli, pruning threshold, norm) of ``vals``: the norm is the largest
-    modulus, or 0.0 where every coefficient is pruned.  Raises on a
-    non-finite coefficient."""
+def _moduli(vals: Sequence[complex]) -> Tuple[List[float], float]:
+    """(moduli, largest modulus) of ``vals``, the largest 0.0 where there
+    are none.  Raises on a non-finite coefficient."""
     mods = list(map(abs, vals))
-    cmax = max(mods, default=0.0)
     # NaN and inf make the sum non-finite; so can finite moduli whose sum
     # overflows, which only the per-coefficient check tells apart
     if not math.isfinite(sum(mods)) and not all(map(cmath.isfinite, vals)):
         raise ValueError("non-finite coefficient")
-    thr = tol.EPS_DROP * max(cmax, scale)
-    return mods, thr, float(cmax) if cmax > thr else 0.0
+    return mods, float(max(mods, default=0.0))
 
 
 def _span(span: int) -> None:
@@ -236,8 +231,8 @@ def _span(span: int) -> None:
 def _expand(key: bytes) -> LaurentPoly:
     """lead * prod (z + c) for ``key``, the bytes of the complex array
     [lead, c_1, c_2, ...]: these bits are all the expansion reads.  It reads
-    no settable tolerance (the pruning threshold EPS_DROP is fixed), so the
-    memo needs nothing else in its key; a raising input is not stored.
+    no tolerance, so the memo needs nothing else in its key; a raising input
+    is not stored.
     Without the memo the ``perfbench`` identities workload took about 1.13x
     as long on a 2-core VM."""
     lead, *factors = np.frombuffer(key, dtype=complex)

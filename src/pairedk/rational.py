@@ -264,9 +264,14 @@ class RationalSymbol:
         ``held``: the cancellation rule tries the roots in ``tested`` only."""
         n_lo, n_arr = num.to_array()
         d_lo, d_arr = den.to_array()
-        zpow = n_lo - d_lo
         d_lead = d_arr[-1]
-        p_arr, q_arr, kept_poles, _ = _cancel_poles(n_arr, d_arr, tested)
+        p_arr, q_arr, kept_poles, cancelled = _cancel_poles(n_arr, d_arr, tested)
+        # deflation keeps the top of num; its bottom may come out as exactly 0,
+        # a factor z that belongs in zpow.  Gain, zeros and the cached num all
+        # read this one trimmed array, so they cannot disagree
+        low = int(np.flatnonzero(p_arr)[0])
+        p_arr = p_arr[low:]
+        zpow = n_lo - d_lo + low
         zeros = _LazyZeros(p_arr)
         if len(p_arr) - 1 > MAX_DEGREE or not np.isfinite(p_arr).all():
             zeros.resolve()  # raises now, where an eager location would
@@ -275,7 +280,7 @@ class RationalSymbol:
         # exact coefficient caches from the caller's data, deflation included;
         # where nothing cancelled and den is monic from z^0 they are num and
         # den themselves
-        if p_arr is n_arr and d_lead == 1 and d_lo == 0:
+        if not cancelled and d_lead == 1 and d_lo == 0:
             sym._num, sym._den = num, den
         else:
             sym._num = LaurentPoly.from_array(zpow, p_arr / d_lead)
@@ -308,7 +313,7 @@ class RationalSymbol:
     @property
     def den(self) -> LaurentPoly:
         """Monic denominator prod (z - p_j)^{n_j}.  Its constant term is 0
-        only where pruning dropped it: a pole within rounding of 0."""
+        only where it underflowed: a pole within rounding of 0."""
         if self._den is None:
             vals: List[complex] = []
             for r in self.poles:
@@ -429,12 +434,8 @@ class RationalSymbol:
             if u.mult < r.mult:
                 union[v] = Root(u.value, r.mult, u.loc)
         a, b = (_over_union(s.num, have, union) for s, have in ((self, mine), (other, theirs)))
-        scale = a.norm_inf() + b.norm_inf()
-        csum: Dict[int, complex] = {}
-        for k, v in a.items() + b.items():
-            csum[k] = csum.get(k, 0.0) + v
-        num = LaurentPoly(csum, scale=scale)
-        if num.is_zero or num.norm_inf() <= tol.EPS_EQ * scale:
+        num = a + b
+        if num.is_zero or num.norm_inf() <= tol.EPS_EQ * (a.norm_inf() + b.norm_inf()):
             return RationalSymbol.zero()
         den = LaurentPoly.from_roots([v for r in union.values() for v in [r.value] * r.mult])
         # a pole of one summand keeps its principal part in the sum
@@ -460,8 +461,8 @@ class RationalSymbol:
         den = self.den
         d0 = den.coeff(0)
         if d0 == 0:
-            # a pole within rounding of 0 (|p|^m below EPS_DROP) pruned the
-            # constant term the reflection is normalised by
+            # the constant term the reflection is normalised by, the product
+            # of the poles, underflowed to 0
             raise ZeroDenominator("a pole within rounding of 0 leaves no constant term to reflect by")
         gain = self.gain.conjugate()
         zpow = -self.zpow
@@ -936,9 +937,12 @@ def _deflate_root(coeffs_asc: np.ndarray, v: complex) -> np.ndarray:
         return q
     acc = -coeffs_asc[0] / v
     q[0] = acc
-    for j in range(1, n - 1):
+    for j in range(1, n - 2):
         acc = (acc - coeffs_asc[j]) / v
         q[j] = acc
+    # exact: division by a monic factor keeps the top coefficient, which the
+    # recursion would form as a difference
+    q[-1] = coeffs_asc[-1]
     return q
 
 
@@ -975,22 +979,6 @@ def rf_normalize(num: LaurentPoly, den: LaurentPoly) -> RationalSymbol:
     if checked < 4:
         raise CertificateFailed("too few usable probe points (denominator vanishes)")
     return sym
-
-
-def circle_conjugate(f: RationalSymbol) -> RationalSymbol:
-    return f.conj_circle()
-
-
-def fourier_coefficient(f: RationalSymbol, k: int) -> complex:
-    return f.fourier(k)
-
-
-def riesz_project(f: RationalSymbol, side: str) -> RationalSymbol:
-    return f.riesz(side)
-
-
-def membership(f: RationalSymbol, space: SpaceTag) -> bool:
-    return f.membership(space)
 
 
 def inner_product(f: RationalSymbol, g: RationalSymbol) -> complex:

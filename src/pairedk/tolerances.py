@@ -37,9 +37,6 @@ EPS_CIRCLE = 1e-9
 # root entries name one root exactly when their values are equal.
 EPS_CLUSTER = 1e-7
 
-# Coefficients below EPS_DROP * (scale) are pruned from Laurent polynomials.
-EPS_DROP = 1e-13
-
 # Default tolerance for numerical rank decisions (relative to sigma_max).
 RANK_TOL = 1e-10
 

@@ -34,3 +34,12 @@ def test_report_counts_moved_lines_by_section_and_flags_a_missing_key():
     lines, flagged = compare_outputs.report(parent, change)
     assert lines[0] == "c4: 1 of 2 lines moved" and lines[1].startswith("  b  abs 0.5  rel 0.2")
     assert "kernel: 2 of 2 lines moved" in lines and flagged == 2
+
+
+def test_report_ends_with_the_largest_absolute_and_relative_change_and_their_keys():
+    parent = {"c4": {"a": "[1.0, 1e-17]", "b": "2.0"}, "kernel": {"q0": "[100.0, 5.0]", "q1": "3.0"}}
+    change = {"c4": {"a": "[1.0, -1e-17]", "b": "2.0"}, "kernel": {"q0": "[100.5, 5.0]", "q1": "3.0"}}
+    lines, flagged = compare_outputs.report(parent, change)
+    assert flagged == 0 and lines[-1] == "largest change: abs 0.5 at kernel q0, rel 2 at c4 a"
+    lines, _ = compare_outputs.report(parent, parent)
+    assert lines[-1] == "largest change: abs 0, rel 0"

@@ -8,7 +8,9 @@ side idempotent and annihilating the other's image) and against the FFT of
 f on a 4 096-point grid.  The Newton disc must never certify a zero beside
 a pole where every zero lies beyond the rule's radius, and the rule must
 give the verdict of the value test and located zeros.  A sum of two simple
-poles at a relative gap of 1e-10 to 1e-9 must keep both."""
+poles at a relative gap of 1e-10 to 1e-9 must keep both.  A numerator whose
+top (or bottom) coefficient is near roundoff must keep it when a pole it
+shares with the denominator cancels, and so must its JSON round trip."""
 
 import cmath
 import math
@@ -190,3 +192,67 @@ def test_sums_keep_near_coincident_poles_apart(radius, theta, gap, phi, ga, gb):
     for f in (a + b, b + a):
         assert [(r.value, r.mult) for r in f.poles] == poles
         assert fc.rel(f.fourier_range(-20, 20) - want, want) <= 1e-12
+
+
+_C = 0.7 - 0.2j
+
+
+def _top_case(p, eps, q=0.5, c=_C, as_sum=False):
+    """c (z - p) + eps z^2 over (z - p)(z - q), with p outside: the pole p
+    cancels, and the quotient's top coefficient is eps.  As a sum it is
+    (1 + eps) z^2 / den plus (c (z - p) - z^2) / den."""
+    den = LaurentPoly.from_roots([p, q])
+    if as_sum:
+        a = R.from_fraction(LaurentPoly({2: 1 + eps}), den)
+        f = a + R.from_fraction(LaurentPoly.from_roots([p], c) - LaurentPoly({2: 1.0}), den)
+        eps = (1 + eps) - 1
+    else:
+        f = R.from_fraction(LaurentPoly.from_roots([p], c) + LaurentPoly({2: eps}), den)
+    return f, lambda t: (c * (t - p) + eps * t**2) / ((t - p) * (t - q))
+
+
+def _bottom_case(p, eps, q=2.0, c=_C):
+    """The mirror, with p inside: (z - p)(eps + c z) over (z - p)(z - q),
+    whose quotient's bottom coefficient is eps."""
+    f = R.from_fraction(LaurentPoly.from_roots([p]) * LaurentPoly({0: eps, 1: c}), LaurentPoly.from_roots([p, q]))
+    return f, lambda t: (eps + c * t) / (t - q)
+
+
+@st.composite
+def planted_ends(draw):
+    """A symbol whose numerator has a coefficient near roundoff at the end
+    that a cancelled pole's deflation forms last: the top over an outside
+    pole (from a fraction or a sum), or the bottom over an inside one."""
+    eps = 10.0 ** draw(st.floats(-17.0, -12.0))
+    c = cmath.rect(draw(st.floats(0.5, 2.0)), draw(angle))
+    if draw(st.booleans()):
+        p, q = cmath.rect(draw(outside), draw(angle)), cmath.rect(draw(st.one_of(inside, outside)), draw(angle))
+        assume(abs(p - q) >= 0.05)
+        return _top_case(p, eps, q, c, draw(st.booleans()))
+    p, q = cmath.rect(draw(inside), draw(angle)), cmath.rect(draw(st.one_of(inside, outside)), draw(angle))
+    assume(abs(p - q) >= 0.05)
+    return _bottom_case(p, eps, q, c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted_ends())
+# the sum and the fractions that read as zero, or with a gain near 1e-18,
+# when deflation formed the top as a difference
+@example(_top_case(2.0, 1e-12, as_sum=True))
+@example(_top_case(2.0, 1e-12))
+@example(_top_case(2.0, 3e-13))
+@example(_top_case(3.849 + 0.761j, 1e-12))
+@example(_top_case(3.849 + 0.761j, 3e-13))
+@example(_top_case(1.5 - 0.5j, 1e-12))
+@example(_top_case(1.5 - 0.5j, 3e-13))
+# the mirror: a bottom that deflation rounds to exactly 0 is a factor z
+@example(_bottom_case(0.5, 1e-12))
+@example(_bottom_case(0.5, 1e-15))
+@example(_bottom_case(0.5, 1e-17))
+@example(_bottom_case(0.3 + 0.4j, 1e-15))
+@example(_bottom_case(0.3 + 0.4j, 1e-17))
+def test_a_coefficient_near_roundoff_survives_a_cancelled_pole(case):
+    f, exact = case
+    want = fc.fourier(exact(fc.circle_grid(4096)), -20, 20)
+    for g in (f, R.from_json(f.to_json())):
+        assert fc.rel(g.fourier_range(-20, 20) - want, want) <= 1e-11

@@ -42,7 +42,7 @@ def test_scale_and_sub():
     assert (f - f).is_zero
 
 
-def test_a_pruned_coefficient_inside_the_block_is_held_as_positive_zero():
+def test_a_zero_coefficient_inside_the_block_is_held_as_positive_zero():
     f = LP({0: 2, 3: -1j})
     for g in (f, -f, f.conj_reflect(), f.scale(-1)):
         block = g.to_array()[1]
@@ -62,7 +62,7 @@ def test_support_bounds_follow_arithmetic_and_refuse_the_zero_polynomial():
     f, g = LP({-2: 3, 5: -4}), LP({1: 1, 4: 2j})
     for h in (f + g, f - g, f * g, f.shift(-3), f.conj_reflect(), f - LP({5: -4})):
         assert (h.lo, h.hi) == (min(h.support()), max(h.support()))
-    for zero in (LaurentPoly(), f - f, LaurentPoly({0: 1e-30}, scale=1.0)):
+    for zero in (LaurentPoly(), f - f, LaurentPoly({-1: 0j, 2: -0.0}), LaurentPoly.from_array(3, np.zeros(4))):
         with pytest.raises(ValueError):
             zero.lo
         with pytest.raises(ValueError):
@@ -87,9 +87,14 @@ def test_from_roots_expansion_exact():
     assert dict(f.items()) == {0: -1, 2: 1}
 
 
-def test_prune_relative_to_scale():
-    f = LaurentPoly({0: 1.0, 5: 1e-20})
-    assert dict(f.items()) == {0: 1.0}
+def test_only_exact_zeros_are_trimmed():
+    # however small against the others, a nonzero coefficient stays; exact
+    # zeros at the ends are trimmed and those inside held as +0j
+    f = LaurentPoly({-3: 0j, 0: 1.0, 5: 1e-300, 7: -0.0})
+    assert (f.lo, f.hi) == (0, 5) and dict(f.items()) == {0: 1.0, 5: 1e-300}
+    g = LaurentPoly.from_array(-2, np.array([0.0, -0.0, 1e-20, -0.0, 1.0, 0.0]))
+    assert (g.lo, g.hi) == (0, 2) and g.to_array()[1].tobytes() == np.array([1e-20, 0j, 1.0]).tobytes()
+    assert dict((LaurentPoly({0: 1.0}) - LaurentPoly({0: 1.0 - 2**-52, 1: 1.0})).items()) == {0: 2**-52, 1: -1.0}
 
 
 def test_runaway_span_guard():
@@ -115,9 +120,9 @@ def test_finite_coefficients_whose_moduli_overflow_a_sum_are_accepted():
 
 def test_norm_inf_is_the_largest_kept_modulus():
     f = LaurentPoly({0: 3 + 4j, 1: -2, 2: 1e-20})
-    assert f.norm_inf() == 5.0 and 2 not in dict(f.items())
-    assert LaurentPoly({0: 1.0}, scale=1e20).norm_inf() == 0.0
-    assert LaurentPoly().norm_inf() == 0.0
+    assert f.norm_inf() == 5.0 and dict(f.items())[2] == 1e-20
+    assert (f * LaurentPoly({0: 1e-20})).norm_inf() == 5e-20
+    assert LaurentPoly({0: 0j}).norm_inf() == 0.0 and LaurentPoly().norm_inf() == 0.0
 
 
 coefficients = st.one_of(st.just(0j), st.builds(cmath.rect, st.floats(0.1, 1.0), st.floats(-3.1, 3.1)))
@@ -148,12 +153,12 @@ def test_no_result_depends_on_the_order_coefficients_were_listed(vals, lo, order
 
 
 def test_to_array_from_a_start_pads_below_the_block():
-    # a root within rounding of 0 prunes the constant term; the view from
-    # z^0 keeps the degree
-    p = LaurentPoly.from_roots([1e-7, 1e-7])
+    # the constant term 1e-340 of a double root at 1e-170 underflows to 0;
+    # the view from z^0 keeps the degree
+    p = LaurentPoly.from_roots([1e-170, 1e-170])
     assert p.lo == 1
     lo, arr = p.to_array(0)
-    assert lo == 0 and arr.tolist() == [0j, -2e-7 + 0j, 1 + 0j]
+    assert lo == 0 and arr.tolist() == [0j, -2e-170 + 0j, 1 + 0j]
     assert p.to_array(1)[1].tolist() == p.to_array()[1].tolist()
     with pytest.raises(ValueError):
         p.to_array(2)

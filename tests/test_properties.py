@@ -133,11 +133,19 @@ def test_spawned_workers_use_the_active_tolerances(monkeypatch):
     spawn = functools.partial(concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spawn)
     default = run_property("P_SCALE", 4, 3)
-    with tol.configured(eps_eq=1e-15):
+    with tol.configured(eps_eq=1e-16):
         seq = run_property("P_SCALE", 4, 3, RunConfig(parallelism=1))
         par = run_property("P_SCALE", 4, 3, RunConfig(parallelism=2))
     assert seq.canonical_payload() == par.canonical_payload()
     assert seq.failures != default.failures  # the tighter eps_eq changes verdicts
+
+
+def test_a_commutator_expansion_whose_sum_cancels_at_its_top_passes():
+    # the numerator of XYf - YXf cancels at its top to about 1e-17 and the
+    # outside pole 3.849 + 0.761i cancels from it; a deflation that forms
+    # the quotient's top as a difference reads the sum as zero, and the
+    # trial fails with max_residual 0.034
+    assert run_property("P_COMMEXP", 1, 2026954471).all_pass()
 
 
 def test_rank_tol_of_one_or_more_is_refused():

@@ -11,12 +11,8 @@ from pairedk import (
     LaurentPoly,
     RationalSymbol,
     SpaceTag,
-    circle_conjugate,
-    fourier_coefficient,
     inner_product,
-    membership,
     rf_normalize,
-    riesz_project,
     winding_index,
 )
 from pairedk import rational, tolerances
@@ -40,27 +36,27 @@ def C(d):
 
 
 def test_conjugate_monomial():
-    assert circle_conjugate(R.monomial(1)).equals(R.monomial(-1))
+    assert R.monomial(1).conj_circle().equals(R.monomial(-1))
 
 
 def test_conjugate_one_plus_inverse():
     # conj(1 + 1/z) = 1 + z; spot value at z = i: conj(1 - i) = 1 + i
     f = C({0: 1, -1: 1})
-    g = circle_conjugate(f)
+    g = f.conj_circle()
     assert g.equals(C({0: 1, 1: 1}))
     assert abs(g.eval(1j) - (1 + 1j)) < 1e-14
 
 
 def test_conjugate_constant():
-    assert circle_conjugate(R.const(1j)).equals(R.const(-1j))
+    assert R.const(1j).conj_circle().equals(R.const(-1j))
 
 
 def test_conjugate_involution_and_fourier_symmetry():
     f = C({0: 2, 1: 1j, -2: 0.5}) / C({0: -2.0, 1: 1.0})
-    assert circle_conjugate(circle_conjugate(f)).equals(f)
+    assert f.conj_circle().conj_circle().equals(f)
     for k in (-3, -1, 0, 2):
-        lhs = fourier_coefficient(circle_conjugate(f), k)
-        rhs = fourier_coefficient(f, -k).conjugate()
+        lhs = f.conj_circle().fourier(k)
+        rhs = f.fourier(-k).conjugate()
         assert abs(lhs - rhs) < 1e-13
 
 
@@ -96,27 +92,27 @@ def test_equals_tells_a_near_double_pole_from_its_json_round_trip(gap):
 def test_fourier_inside_pole_geometric_series():
     # 1/(z - p) = sum_{j>=1} p^{j-1} z^{-j}, so the -3 coefficient is p^2
     f = C({0: -0.5, 1: 1}).reciprocal()
-    assert abs(fourier_coefficient(f, -3) - 0.25) < 1e-14
-    assert abs(fourier_coefficient(f, 0)) < 1e-14
+    assert abs(f.fourier(-3) - 0.25) < 1e-14
+    assert abs(f.fourier(0)) < 1e-14
 
 
 def test_fourier_polynomial_lookup():
     f = C({2: 2, 0: 3})
-    assert fourier_coefficient(f, 0) == 3
-    assert fourier_coefficient(f, 2) == 2
-    assert fourier_coefficient(f, -1) == 0
+    assert f.fourier(0) == 3
+    assert f.fourier(2) == 2
+    assert f.fourier(-1) == 0
 
 
 def test_fourier_outside_pole_no_negative_indices():
     f = C({0: -2.0, 1: 1.0}).reciprocal()
-    assert abs(fourier_coefficient(f, -1)) < 1e-15
-    assert abs(fourier_coefficient(f, 0) + 0.5) < 1e-14
+    assert abs(f.fourier(-1)) < 1e-15
+    assert abs(f.fourier(0) + 0.5) < 1e-14
 
 
 def test_fourier_pole_on_circle_raises():
     f = C({0: 1, 1: 1}).reciprocal()
     with pytest.raises(PoleOnCircle):
-        fourier_coefficient(f, 0)
+        f.fourier(0)
 
 
 def test_fourier_window_against_fft():
@@ -288,20 +284,20 @@ def test_huge_coefficients_keep_their_roots():
 
 def test_riesz_index_split():
     f = C({2: 2, 0: 3, -1: 5})
-    assert riesz_project(f, "plus").equals(C({2: 2, 0: 3}))
-    assert riesz_project(f, "minus").equals(C({-1: 5}))
+    assert f.riesz("plus").equals(C({2: 2, 0: 3}))
+    assert f.riesz("minus").equals(C({-1: 5}))
 
 
 def test_riesz_inside_pole_all_minus():
     f = C({0: -0.5, 1: 1}).reciprocal()
-    assert riesz_project(f, "plus").is_zero
-    assert riesz_project(f, "minus").equals(f)
+    assert f.riesz("plus").is_zero
+    assert f.riesz("minus").equals(f)
 
 
 def test_riesz_outside_pole_all_plus():
     f = C({0: -2, 1: 1}).reciprocal()
-    assert riesz_project(f, "minus").is_zero
-    assert riesz_project(f, "plus").equals(f)
+    assert f.riesz("minus").is_zero
+    assert f.riesz("plus").equals(f)
 
 
 def test_riesz_windows_against_fft():
@@ -331,21 +327,21 @@ def test_riesz_windows_against_fft():
 )
 def test_riesz_partition_idempotence_annihilation(num, den):
     f = R.from_fraction(LaurentPoly(num), LaurentPoly(den))
-    plus = riesz_project(f, "plus")
-    minus = riesz_project(f, "minus")
+    plus = f.riesz("plus")
+    minus = f.riesz("minus")
     assert (plus + minus).equals(f)
-    assert riesz_project(plus, "plus").equals(plus)
-    assert riesz_project(minus, "minus").equals(minus)
-    assert riesz_project(riesz_project(f, "minus"), "plus").is_zero
+    assert plus.riesz("plus").equals(plus)
+    assert minus.riesz("minus").equals(minus)
+    assert f.riesz("minus").riesz("plus").is_zero
 
 
 def test_membership_iff_projection_vanishes():
     f = C({0: 1, 2: -1j}) / C({0: 2.5, 1: 1})
-    assert membership(f, SpaceTag.H2PLUS)
-    assert riesz_project(f, "minus").is_zero
+    assert f.membership(SpaceTag.H2PLUS)
+    assert f.riesz("minus").is_zero
     g = C({0: -0.5, 1: 1}).reciprocal()
-    assert membership(g, SpaceTag.H2MINUS)
-    assert riesz_project(g, "plus").is_zero
+    assert g.membership(SpaceTag.H2MINUS)
+    assert g.riesz("plus").is_zero
 
 
 # ---------------------------------------------------------------- membership
@@ -353,32 +349,32 @@ def test_membership_iff_projection_vanishes():
 
 def test_membership_examples():
     inside = C({0: -0.5, 1: 1}).reciprocal()  # 1/(z-1/2)
-    assert membership(inside, SpaceTag.H2MINUS)
-    assert membership(C({0: 1, -1: 1}), SpaceTag.L2)
-    assert not membership(C({0: 1, 1: 1}).reciprocal(), SpaceTag.L2)
+    assert inside.membership(SpaceTag.H2MINUS)
+    assert C({0: 1, -1: 1}).membership(SpaceTag.L2)
+    assert not C({0: 1, 1: 1}).reciprocal().membership(SpaceTag.L2)
     blaschke = C({0: -0.5, 1: 1}) / C({0: 1, 1: -0.5})
-    assert membership(blaschke, SpaceTag.INNER_PLUS)
+    assert blaschke.membership(SpaceTag.INNER_PLUS)
 
 
 def test_membership_hardy_and_bounded_classes():
     f = C({0: 1, -1: 1})  # 1 + 1/z
-    assert membership(f, SpaceTag.HINF_BAR)
-    assert not membership(f, SpaceTag.HINF)
+    assert f.membership(SpaceTag.HINF_BAR)
+    assert not f.membership(SpaceTag.HINF)
     g = C({0: 1, 1: 1})
-    assert membership(g, SpaceTag.HINF)
-    assert membership(g, SpaceTag.OUTER_PLUS)  # circle zero stays outer
-    assert membership(R.monomial(-1), SpaceTag.H2MINUS)
-    assert not membership(R.monomial(-1), SpaceTag.H2PLUS)
+    assert g.membership(SpaceTag.HINF)
+    assert g.membership(SpaceTag.OUTER_PLUS)  # circle zero stays outer
+    assert R.monomial(-1).membership(SpaceTag.H2MINUS)
+    assert not R.monomial(-1).membership(SpaceTag.H2PLUS)
 
 
 def test_membership_outer_minus_reflection_convention():
     # 1/z is outer on the minus side: z^(-1) reflected and conjugated gives 1
-    assert membership(R.monomial(-1), SpaceTag.OUTER_MINUS)
+    assert R.monomial(-1).membership(SpaceTag.OUTER_MINUS)
     inside_zero = C({0: -0.3, 1: 1}) * R.monomial(-1)
-    assert not membership(inside_zero, SpaceTag.OUTER_MINUS)
+    assert not inside_zero.membership(SpaceTag.OUTER_MINUS)
     # a zero inside or on the circle reflects to one outside or on it
     for f in (C({0: -0.5, 1: 1}) * R.monomial(-2), C({0: -1, 1: 1}) * R.monomial(-2), R.monomial(-1, 3j)):
-        assert membership(f, SpaceTag.OUTER_MINUS)
+        assert f.membership(SpaceTag.OUTER_MINUS)
 
 
 # a zero 1e-6 inside the circle, over its mirror moved by 1e-7: one root
@@ -401,14 +397,14 @@ _MIRROR_NEAR_CIRCLE = R(1 / (1 - 1e-6), 0, (Root(1 - 1e-6, 1, "in"),), (Root(1 /
     ],
 )
 def test_inner_plus_rejections(f):
-    assert not membership(f, SpaceTag.INNER_PLUS)
+    assert not f.membership(SpaceTag.INNER_PLUS)
     assert not _inner_by_probes(f)
 
 
 @pytest.mark.parametrize("f", [R.monomial(-2), C({0: -2, 1: 1}) * R.monomial(-2)])
 def test_outer_minus_rejections(f):
-    assert membership(f, SpaceTag.H2MINUS)
-    assert not membership(f, SpaceTag.OUTER_MINUS)
+    assert f.membership(SpaceTag.H2MINUS)
+    assert not f.membership(SpaceTag.OUTER_MINUS)
     assert not _outer_minus_by_reflection(f)
 
 
@@ -447,7 +443,7 @@ def test_membership_agrees_with_the_constructions_it_replaced(constraint):
         profile = GENERIC.tighter(class_constraint=constraint, allow_circle_zeros=bool(i % 2))
         f = sample_symbol(profile, trial_rng(5, i))
         for g in (f, f.conj_circle(), f.reciprocal(), f.conj_circle() * R.monomial(-1)):
-            inner, outer = membership(g, SpaceTag.INNER_PLUS), membership(g, SpaceTag.OUTER_MINUS)
+            inner, outer = g.membership(SpaceTag.INNER_PLUS), g.membership(SpaceTag.OUTER_MINUS)
             assert inner == _inner_by_probes(g)
             assert outer == _outer_minus_by_reflection(g)
             verdicts[SpaceTag.INNER_PLUS].add(inner)
@@ -460,9 +456,9 @@ def test_membership_agrees_with_the_constructions_it_replaced(constraint):
 def test_zero_function_membership_policy():
     z = R.zero()
     for tag in (SpaceTag.L2, SpaceTag.H2PLUS, SpaceTag.H2MINUS, SpaceTag.HINF, SpaceTag.HINF_BAR):
-        assert membership(z, tag)
-    assert not membership(z, SpaceTag.INNER_PLUS)
-    assert not membership(z, SpaceTag.OUTER_PLUS)
+        assert z.membership(tag)
+    assert not z.membership(SpaceTag.INNER_PLUS)
+    assert not z.membership(SpaceTag.OUTER_PLUS)
 
 
 # ---------------------------------------------------------------- normalize
@@ -762,20 +758,29 @@ def test_from_fraction_caches_equal_the_array_path(monkeypatch):
 
 
 def test_a_product_cancels_a_pole_within_rounding_of_zero():
-    # the double pole's expansion z^2 - 2e-7 z loses its constant 1e-14 to
-    # pruning; the cancellation must still deflate the denominator from z^0
+    # the expansion of the double pole at 1e-170, z^2 - 2e-170 z, loses its
+    # constant term 1e-340 to underflow; the cancellation must still deflate
+    # the denominator from z^0.  At 1e-7 the constant 1e-14 is kept
+    for p in (1e-7, 1e-170):
+        s = R.from_zpk(1, 0, [Root(p, 1, "in")], [Root(p, 2, "in")])
+        assert [(r.value, r.mult) for r in s.poles] == [(p, 1)]
+        assert _bits(s.den) == _bits(LaurentPoly({0: -p, 1: 1.0}))
+        assert s.reciprocal().fourier(0) == -p
+        assert s.conj_circle().eval(0.6 + 0.8j) == pytest.approx(1 / (0.6 - 0.8j - p), rel=1e-15)
     s = R.from_zpk(1, 0, [Root(1e-7, 1, "in")], [Root(1e-7, 2, "in")])
-    assert [(p.value, p.mult) for p in s.poles] == [(1e-7, 1)]
-    assert _bits(s.den) == _bits(LaurentPoly({0: -1e-7, 1: 1.0}))
-    assert s.reciprocal().fourier(0) == -1e-7
     assert s.conj_circle().equals(R(-1e7, 1, (), [Root(1e7, 1, "out")]))
 
 
 def test_a_pole_within_rounding_of_zero_is_refused_typed():
-    # the double pole's expansion z^2 - 2e-7 z + 1e-14 loses its constant
-    # term to pruning, so conj_circle has nothing to normalise by
-    data = {"gain": [1.0, 0.0], "zpow": 0, "zeros": [], "poles": [{"z": [1e-7, 0.0], "m": 2, "loc": "in"}]}
-    for s in (R(1.0, 0, (), [Root(1e-7, 2, "in")]), R.from_json(data)):
+    # the double pole at 1e-7 keeps its constant term 1e-14, so conj_circle
+    # and sup_circle work; at 1e-170 the constant 1e-340 underflows to 0, so
+    # conj_circle has nothing to normalise by
+    near = R(1.0, 0, (), [Root(1e-7, 2, "in")])
+    assert near.den.coeff(0) == 1e-7 * 1e-7
+    assert near.sup_circle() == 1 / (1 - 1e-7) ** 2
+    assert near.conj_circle().conj_circle().equals(near)
+    data = {"gain": [1.0, 0.0], "zpow": 0, "zeros": [], "poles": [{"z": [1e-170, 0.0], "m": 2, "loc": "in"}]}
+    for s in (R(1.0, 0, (), [Root(1e-170, 2, "in")]), R.from_json(data)):
         assert s.den.coeff(0) == 0
         with pytest.raises(ZeroDenominator):
             s.conj_circle()

@@ -7,6 +7,8 @@ output per line as ``<section> <key> <JSON value>``.  Lines are matched by
 section and key.  For each section the script prints how many lines moved
 and, for each moved line, the largest absolute and the largest relative
 change of any number on it (relative to the larger of the two moduli).
+The last line gives the largest absolute and the largest relative change
+over all moved lines, each with its section and key.
 
 A change that is not numeric is flagged: text around the numbers that
 differs (a verdict, a reason, a sign), a different count of numbers, an
@@ -63,6 +65,8 @@ def report(parent: Dict[str, Dict[str, str]], change: Dict[str, Dict[str, str]])
     """The printed lines and the number of flagged changes."""
     lines: List[str] = []
     flagged = 0
+    # (change, "section key") of the largest absolute and relative change
+    worst = {"abs": (0.0, None), "rel": (0.0, None)}
     for section in dict.fromkeys([*parent, *change]):
         old, new = parent.get(section, {}), change.get(section, {})
         keys = list(dict.fromkeys([*old, *new]))
@@ -81,7 +85,14 @@ def report(parent: Dict[str, Dict[str, str]], change: Dict[str, Dict[str, str]])
                 lines.append(f"    change: {new[key]}")
             else:
                 lines.append(f"  {key}  abs {worst_abs:.3g}  rel {worst_rel:.3g}")
+                for name, value in (("abs", worst_abs), ("rel", worst_rel)):
+                    if value > worst[name][0]:
+                        worst[name] = (value, f"{section} {key}")
     lines.append(f"{flagged} non-numeric changes")
+    lines.append(
+        "largest change: "
+        + ", ".join(f"{name} {value:.3g}" + (f" at {where}" if where else "") for name, (value, where) in worst.items())
+    )
     return lines, flagged
 
 
